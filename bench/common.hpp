@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "benchkit/registry.hpp"
-#include "core/fitness_cache.hpp"
 #include "core/study.hpp"
 #include "core/study_engine.hpp"
 #include "pareto/knee.hpp"
@@ -90,7 +89,7 @@ inline std::unique_ptr<RunRecorder> open_run_recorder(
 
 /// Runs the five-population study for one scenario and prints everything.
 /// Metrics route through the harness's per-scenario registry (`ctx`), so
-/// eus_bench snapshots evaluation/cache/pool counters around every timed
+/// eus_bench snapshots evaluation/pool counters around every timed
 /// repetition; a null ctx.metrics (standalone use) gets a local registry.
 inline StudyResult run_figure(const benchkit::ScenarioContext& ctx,
                               const FigureSpec& spec,
@@ -132,31 +131,15 @@ inline StudyResult run_figure(const benchkit::ScenarioContext& ctx,
           .value_or(run_slug(spec.figure, scenario.name) + ".jsonl");
   const std::unique_ptr<RunRecorder> recorder = open_run_recorder(run_path);
 
-  // Fitness memo shared by all five populations (EUS_CACHE sizes it;
-  // "off" disables).  Hits skip the simulator; fronts are bit-identical.
-  std::unique_ptr<FitnessCache> cache;
-  if (const std::size_t cache_capacity = bench_cache_capacity();
-      cache_capacity > 0) {
-    FitnessCacheConfig cache_config;
-    cache_config.capacity = cache_capacity;
-    cache_config.metrics = &metrics;
-    cache = std::make_unique<FitnessCache>(cache_config);
-  }
-
   StudyEngineConfig engine_config;
   engine_config.threads = bench_threads();
   engine_config.metrics = &metrics;
   engine_config.recorder = recorder.get();
-  engine_config.cache = cache.get();
   engine_config.study_label = spec.figure + " — " + scenario.name;
   StudyEngine engine(engine_config);
 
   std::cout << "threads: " << engine.threads()
-            << " (set EUS_THREADS; 0 = all cores, 1 = serial)\n"
-            << "fitness cache: "
-            << (cache ? std::to_string(cache->capacity()) + " genomes"
-                      : std::string("off"))
-            << " (set EUS_CACHE=off|on|<capacity>)\n";
+            << " (set EUS_THREADS; 0 = all cores, 1 = serial)\n";
 
   Stopwatch timer;
   const StudyResult study = engine.run(
@@ -269,18 +252,6 @@ inline StudyResult run_figure(const benchkit::ScenarioContext& ctx,
             << format_double(timer_s("nsga2.evaluation_s"), 2)
             << " s, selection "
             << format_double(timer_s("nsga2.selection_s"), 2) << " s\n";
-  if (const std::uint64_t lookups =
-          counter("cache.hits") + counter("cache.misses");
-      lookups > 0) {
-    std::cout << "fitness cache: " << counter("cache.hits") << "/" << lookups
-              << " lookups hit ("
-              << format_double(100.0 *
-                                   static_cast<double>(counter("cache.hits")) /
-                                   static_cast<double>(lookups),
-                               1)
-              << "% hit rate, " << counter("cache.evictions")
-              << " evictions)\n";
-  }
   if (recorder) {
     std::cout << "run record: " << run_path << " ("
               << recorder->lines_written()

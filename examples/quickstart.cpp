@@ -7,17 +7,14 @@
 //
 // Run:  ./quickstart [generations]
 
-#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 
-#include "core/fitness_cache.hpp"
 #include "core/nsga2.hpp"
 #include "core/study.hpp"
 #include "pareto/knee.hpp"
 #include "util/ascii_plot.hpp"
-#include "util/env.hpp"
 #include "util/stopwatch.hpp"
 #include "workload/scenarios.hpp"
 
@@ -41,14 +38,6 @@ int main(int argc, char** argv) {
   config.mutation_probability = 0.25;
   config.seed = 42;
 
-  // Memoize fitness so clone offspring skip re-simulation (EUS_CACHE=off
-  // disables; the front is bit-identical either way).
-  const std::size_t cache_capacity = bench_cache_capacity();
-  FitnessCacheConfig cache_config;
-  cache_config.capacity = std::max<std::size_t>(cache_capacity, 1);
-  FitnessCache cache(cache_config);
-  if (cache_capacity > 0) config.cache = &cache;
-
   Nsga2 ga(problem, config);
   ga.initialize({min_energy_allocation(scenario.system, scenario.trace),
                  min_min_completion_time_allocation(scenario.system,
@@ -57,8 +46,8 @@ int main(int argc, char** argv) {
   Stopwatch timer;
   ga.iterate(generations);
   std::cout << "evolved " << generations << " generations ("
-            << ga.evaluations() << " evaluations, " << cache.hits()
-            << " served from cache) in " << timer.seconds() << " s\n\n";
+            << ga.evaluations() << " evaluations) in " << timer.seconds()
+            << " s\n\n";
 
   const auto front = ga.front_points();
   PlotSeries series{"Pareto front", '*', {}, {}};

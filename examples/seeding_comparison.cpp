@@ -7,9 +7,7 @@
 
 #include <cstdlib>
 #include <iostream>
-#include <memory>
 
-#include "core/fitness_cache.hpp"
 #include "core/study.hpp"
 #include "core/study_engine.hpp"
 #include "pareto/metrics.hpp"
@@ -47,30 +45,15 @@ int main(int argc, char** argv) {
       generations / 10, generations / 3, generations};
 
   // All six populations evolve concurrently on one shared pool
-  // (EUS_THREADS; 0 = all cores) and share one fitness memo (EUS_CACHE;
-  // clone offspring skip re-simulation).  Fronts are identical to a
-  // serial, uncached run.
-  std::unique_ptr<FitnessCache> cache;
-  if (const std::size_t cache_capacity = bench_cache_capacity();
-      cache_capacity > 0) {
-    FitnessCacheConfig cache_config;
-    cache_config.capacity = cache_capacity;
-    cache = std::make_unique<FitnessCache>(cache_config);
-  }
+  // (EUS_THREADS; 0 = all cores).  Fronts are identical to a serial run.
   StudyEngineConfig engine_config;
   engine_config.threads = bench_threads();
-  engine_config.cache = cache.get();
   StudyEngine engine(engine_config);
   std::cout << "evolving " << extended_population_specs().size()
             << " populations to " << generations << " generations on "
             << engine.threads() << " thread(s)...\n";
   const StudyResult study =
       engine.run(problem, config, checkpoints, extended_population_specs());
-  if (cache) {
-    std::cout << "fitness cache: " << cache->hits() << " hits / "
-              << cache->hits() + cache->misses() << " lookups ("
-              << cache->evictions() << " evictions)\n";
-  }
 
   // Hypervolume league table per checkpoint (shared reference).
   std::vector<std::vector<EUPoint>> all;

@@ -14,7 +14,7 @@
 //         "exit_code": 0,
 //         "wall_s": {"samples": [..], "min": .., "max": .., "mean": ..,
 //                    "median": .., "mad": ..},
-//         "counters": {"nsga2.evaluations": .., "cache.hits": .., ...},
+//         "counters": {"nsga2.evaluations": .., "nsga2.generations": .., ...},
 //         "timers_s": {"nsga2.evaluation_s": .., ...}
 //       }, ...
 //     }

@@ -54,38 +54,30 @@ void Nsga2::evaluate_individual(std::vector<Individual>& individuals,
                                 bool trusted_genome) {
   Individual& ind = individuals[idx];
   const Evaluator* ev = problem_->incremental_evaluator();
-  const bool use_delta = ev != nullptr && ev->incremental_on();
-  // Cheapest winning path: fitness-cache hit (no simulation at all, but
-  // also no EvalState) > clone of the parent (reuse its objectives and
-  // partials) > delta re-simulation of the dirty machines > full
-  // simulation.  All four produce bit-identical objectives.
-  const auto compute = [&](const Allocation& genome) -> EUPoint {
-    if (use_delta) {
-      if (hint != nullptr && !hint->full) {
-        // Operator-built child of a validated parent: structurally
-        // valid, so the evaluator may skip per-gene validation.
-        const Individual& parent = individuals[hint->parent];
-        if (parent.state.valid()) {
-          if (hint->touched.empty()) {
-            ind.state = parent.state;
-            return parent.objectives;
-          }
-          return problem_->objectives_of(ev->evaluate_incremental(
-              genome, parent.genome, parent.state, hint->touched,
-              ind.state, /*trusted_child=*/true));
-        }
-        return problem_->objectives_of(
-            ev->evaluate_trusted(genome, ind.state));
-      }
-      return problem_->objectives_of(
-          trusted_genome ? ev->evaluate_trusted(genome, ind.state)
-                         : ev->evaluate(genome, ind.state));
+  if (ev == nullptr || !ev->incremental_on()) {
+    ind.objectives = problem_->evaluate(ind.genome);
+    return;
+  }
+  // Cheapest applicable path: clone of the parent (reuse its objectives
+  // and partials) > delta re-simulation of the dirty machines > full
+  // simulation.  All three produce bit-identical objectives.
+  if (hint != nullptr && !hint->full) {
+    const Individual& parent = individuals[hint->parent];
+    if (hint->touched.empty()) {
+      ind.state = parent.state;
+      ind.objectives = parent.objectives;
+      return;
     }
-    return problem_->evaluate(genome);
-  };
-  ind.objectives = config_.cache != nullptr
-                       ? config_.cache->evaluate_through(ind.genome, compute)
-                       : compute(ind.genome);
+    // Operator-built child of a validated parent: structurally valid, so
+    // the evaluator may skip per-gene validation.
+    ind.objectives = problem_->objectives_of(ev->evaluate_incremental(
+        ind.genome, parent.genome, parent.state, hint->touched, ind.state,
+        /*trusted_child=*/true));
+    return;
+  }
+  ind.objectives = problem_->objectives_of(
+      trusted_genome ? ev->evaluate_trusted(ind.genome, ind.state)
+                     : ev->evaluate(ind.genome, ind.state));
 }
 
 void Nsga2::evaluate_all(std::vector<Individual>& individuals,

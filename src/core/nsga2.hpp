@@ -20,7 +20,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/fitness_cache.hpp"
 #include "core/problem.hpp"
 #include "sched/allocation.hpp"
 #include "sched/eval_state.hpp"
@@ -65,12 +64,6 @@ struct Nsga2Config {
   /// Optional telemetry sink (must outlive the algorithm).  Counters and
   /// timers aggregate across every instance sharing the registry.
   MetricsRegistry* metrics = nullptr;
-  /// Optional fitness memo (must outlive the algorithm).  Clone offspring
-  /// and carried-over seeds skip the simulator entirely; evaluation is a
-  /// pure function of the genome, so fronts stay bit-identical with the
-  /// cache present or absent.  Thread-safe — share one across a study's
-  /// concurrently evolving populations (see StudyEngineConfig::cache).
-  FitnessCache* cache = nullptr;
   std::uint64_t seed = 1;
 };
 
@@ -80,10 +73,10 @@ struct Individual {
   std::size_t rank = 0;     ///< 0 == nondominated
   double crowding = 0.0;
   /// Per-machine simulation partials backing the incremental
-  /// delta-evaluator (empty when the individual's objectives came from a
-  /// cache hit or a problem without an Evaluator).  Offspring whose
-  /// operators touched few genes re-simulate only the dirty machines of
-  /// their parent's state; fronts are bit-identical either way.
+  /// delta-evaluator (empty only for a problem without an Evaluator, or
+  /// with incremental evaluation off).  Offspring whose operators touched
+  /// few genes re-simulate only the dirty machines of their parent's
+  /// state; fronts are bit-identical either way.
   EvalState state;
 };
 
@@ -171,8 +164,8 @@ class Nsga2 {
   void evaluate_all(std::vector<Individual>& individuals, std::size_t begin,
                     const std::vector<OffspringHint>* hints,
                     bool trusted_genomes = false);
-  /// Evaluates individuals[idx] in place (cache → clone → delta → full,
-  /// whichever wins; see the definition).  The unit evaluate_all() fans
+  /// Evaluates individuals[idx] in place (clone → delta → full, whichever
+  /// applies; see the definition).  The unit evaluate_all() fans
   /// out, and the one inline_evaluation() calls per fresh genome.
   void evaluate_individual(std::vector<Individual>& individuals,
                            std::size_t idx, const OffspringHint* hint,

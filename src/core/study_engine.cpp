@@ -80,7 +80,6 @@ StudyResult StudyEngine::run(const BiObjectiveProblem& problem,
       config.shared_pool = pool_.get();
     }
     if (config_.metrics != nullptr) config.metrics = config_.metrics;
-    if (config_.cache != nullptr) config.cache = config_.cache;
 
     Nsga2 algorithm(problem, config);
     algorithm.initialize(seeds[p]);

@@ -41,10 +41,6 @@ struct StudyEngineConfig {
   MetricsRegistry* metrics = nullptr;
   /// Optional JSONL run recorder.  Must outlive the engine.
   RunRecorder* recorder = nullptr;
-  /// Optional fitness memo shared by every population of the study (the
-  /// cache is sharded + thread-safe; fronts are bit-identical with or
-  /// without it).  Must outlive the engine's run() calls.
-  FitnessCache* cache = nullptr;
   /// Label written into the recorder's config record.
   std::string study_label = "seeding-study";
 };

@@ -20,7 +20,8 @@ class ParetoArchive {
     EUPoint point;
     /// Caller-supplied identifier (population index, genome id, ...).
     std::size_t tag = 0;
-    /// Optional genome fingerprint (FitnessCache::fingerprint); 0 = unknown.
+    /// Optional genome fingerprint (genome_fingerprint in
+    /// sched/allocation.hpp); 0 = unknown.
     /// A nonzero fingerprint already present in the archive rejects the
     /// insertion, so one genome can never occupy two slots.
     std::uint64_t fingerprint = 0;

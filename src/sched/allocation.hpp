@@ -6,6 +6,7 @@
 // greedy heuristics and the NSGA-II chromosome.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace eus {
@@ -25,6 +26,12 @@ struct Allocation {
 
   friend bool operator==(const Allocation&, const Allocation&) = default;
 };
+
+/// 64-bit fingerprint of (machine, order, pstate), used to reject duplicate
+/// genomes.  Equal genomes always fingerprint equally; distinct genomes
+/// collide with ~2^-64 probability.
+[[nodiscard]] std::uint64_t genome_fingerprint(
+    const Allocation& genome) noexcept;
 
 /// Identity-order allocation of the given size with every task on machine 0
 /// (useful as a neutral starting point in tests).

@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "util/env.hpp"
-
 namespace eus {
 
 Evaluator::Evaluator(const SystemModel& system, const Trace& trace,
@@ -103,8 +101,6 @@ Evaluator::Evaluator(const SystemModel& system, const Trace& trace,
       dvfs_power_[p] = options_.dvfs->power_multiplier(p);
     }
   }
-
-  incremental_on_ = options_.incremental.value_or(incremental_enabled());
 
   if (options_.metrics != nullptr) {
     metric_evaluations_ = &options_.metrics->counter("evaluator.evaluations");
@@ -347,7 +343,7 @@ Evaluation Evaluator::evaluate_incremental(
     return run(child, out_state, noop);
   };
 
-  if (!incremental_on_) return full_fallback();
+  if (!options_.incremental) return full_fallback();
   if (parent_state.machines.size() != num_machines_ ||
       child.machine.size() != num_tasks_ ||
       child.order.size() != num_tasks_ ||

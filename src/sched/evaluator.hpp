@@ -54,10 +54,10 @@ struct EvaluatorOptions {
   /// powered down).  With idle power, packing work onto fewer machines
   /// can beat pure per-task EEC minimization.
   std::vector<double> idle_watts;
-  /// Delta-evaluation override: unset honors the EUS_INCREMENTAL knob
-  /// (default on).  Off forces evaluate_incremental through the full
-  /// simulator; fronts are bit-identical either way.
-  std::optional<bool> incremental;
+  /// Delta evaluation (default on).  Off forces evaluate_incremental
+  /// through the full simulator, which makes it the differential tests'
+  /// oracle; fronts are bit-identical either way.
+  bool incremental = true;
   /// Optional telemetry sink (must outlive the evaluator).  When set, the
   /// evaluator counts evaluations ("evaluator.evaluations"), dropped tasks
   /// ("evaluator.tasks_dropped"), and the delta-path outcome counters
@@ -99,8 +99,8 @@ class Evaluator {
   /// out-of-range machine index, an ineligible mapping, or a bad P-state
   /// throws std::invalid_argument instead of indexing out of bounds.
   /// Out-of-range *order* values are fine (orders are free-form
-  /// priorities).  Under the fitness cache each unique genome pays the
-  /// check once; cache hits skip evaluate() entirely.
+  /// priorities).  NSGA-II offspring skip the check through
+  /// evaluate_trusted() and evaluate_incremental(trusted_child).
   [[nodiscard]] Evaluation evaluate(const Allocation& allocation) const;
 
   /// Full simulation that additionally captures the per-machine partials
@@ -148,10 +148,10 @@ class Evaluator {
   /// machine, or a P-state index is invalid.
   void validate(const Allocation& allocation) const;
 
-  /// Whether evaluate_incremental may take the delta path (the
-  /// EUS_INCREMENTAL knob, or EvaluatorOptions::incremental when set).
+  /// Whether evaluate_incremental may take the delta path
+  /// (EvaluatorOptions::incremental).
   [[nodiscard]] bool incremental_on() const noexcept {
-    return incremental_on_;
+    return options_.incremental;
   }
 
   [[nodiscard]] const SystemModel& system() const noexcept { return *system_; }
@@ -246,7 +246,6 @@ class Evaluator {
   std::vector<double> dvfs_time_;
   std::vector<double> dvfs_power_;
 
-  bool incremental_on_ = true;
   /// Resolved once at construction so the hot path never does name lookups.
   Counter* metric_evaluations_ = nullptr;
   Counter* metric_dropped_ = nullptr;

@@ -4,7 +4,6 @@
 #include <exception>
 #include <utility>
 
-#include "core/fitness_cache.hpp"
 #include "core/nsga2.hpp"
 #include "core/study_engine.hpp"
 #include "data/historical.hpp"
@@ -147,7 +146,7 @@ bool run_nsga2(const EvolveSpec& spec, const HandlerContext& ctx,
   }
   ParetoArchive merged;  // unbounded: a union, not a store
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    merged.insert(pool_points[i], i, FitnessCache::fingerprint(pool[i]));
+    merged.insert(pool_points[i], i, genome_fingerprint(pool[i]));
   }
   out.front = merged.points();
   if (out_genomes != nullptr) {

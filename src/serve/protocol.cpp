@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "data/types.hpp"
@@ -27,15 +28,25 @@ double require_positive(double v, const char* what) {
   return v;
 }
 
+/// The one conversion from a JSON number to a count or index: an integer
+/// in [min, 2^53], else nullopt.  Above 2^53 doubles no longer hold every
+/// integer, and from 2^64 on the cast to std::size_t is undefined.
+std::optional<std::size_t> to_size(const JsonValue* v, double min) {
+  constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
+  if (v == nullptr || !v->is_number() || !(v->number >= min) ||
+      v->number > kMaxExactInteger || v->number != std::floor(v->number)) {
+    return std::nullopt;
+  }
+  return static_cast<std::size_t>(v->number);
+}
+
 std::size_t size_field(const JsonValue& obj, std::string_view key,
                        std::size_t fallback) {
   const JsonValue* v = obj.get(key);
   if (v == nullptr) return fallback;
-  if (!v->is_number() || v->number < 0.0 ||
-      v->number != std::floor(v->number)) {
-    fail(std::string(key) + " must be a non-negative integer");
-  }
-  return static_cast<std::size_t>(v->number);
+  const std::optional<std::size_t> n = to_size(v, 0.0);
+  if (!n) fail(std::string(key) + " must be a non-negative integer");
+  return *n;
 }
 
 std::vector<std::vector<double>> matrix_field(const JsonValue& obj,
@@ -113,11 +124,9 @@ ScenarioSpec parse_scenario(const JsonValue& doc, std::string_view key) {
         fail("scenario.machine_counts must have one entry per machine type");
       }
       for (const JsonValue& c : counts->array) {
-        if (!c.is_number() || c.number < 1.0 ||
-            c.number != std::floor(c.number)) {
-          fail("scenario.machine_counts entries must be integers >= 1");
-        }
-        spec.machine_counts.push_back(static_cast<std::size_t>(c.number));
+        const std::optional<std::size_t> n = to_size(&c, 1.0);
+        if (!n) fail("scenario.machine_counts entries must be integers >= 1");
+        spec.machine_counts.push_back(*n);
       }
     }
     spec.tasks = size_field(*s, "tasks", spec.tasks);
@@ -146,12 +155,9 @@ AdminRequest parse_admin(const JsonValue& doc) {
                    : action == "set-cache-entries"
                        ? AdminAction::kSetCacheEntries
                        : AdminAction::kSetWorkers;
-    const JsonValue* v = doc.get("value");
-    if (v == nullptr || !v->is_number() || v->number < 1.0 ||
-        v->number != std::floor(v->number)) {
-      fail("admin." + action + " needs an integer \"value\" >= 1");
-    }
-    admin.value = static_cast<std::size_t>(v->number);
+    const std::optional<std::size_t> n = to_size(doc.get("value"), 1.0);
+    if (!n) fail("admin." + action + " needs an integer \"value\" >= 1");
+    admin.value = *n;
     return admin;
   }
   if (action == "catalog-reload") {
@@ -223,12 +229,9 @@ AdminRequest parse_admin(const JsonValue& doc) {
       fail("admin.archive-cap needs a tenant \"name\" matching "
            "[A-Za-z0-9._-]{1,64}");
     }
-    const JsonValue* v = doc.get("value");
-    if (v == nullptr || !v->is_number() || v->number < 1.0 ||
-        v->number != std::floor(v->number)) {
-      fail("admin.archive-cap needs an integer \"value\" >= 1");
-    }
-    admin.value = static_cast<std::size_t>(v->number);
+    const std::optional<std::size_t> n = to_size(doc.get("value"), 1.0);
+    if (!n) fail("admin.archive-cap needs an integer \"value\" >= 1");
+    admin.value = *n;
     return admin;
   }
   fail("unknown admin action '" + action +
@@ -307,13 +310,12 @@ std::vector<ScenarioMutation> parse_mutations(const JsonValue& doc) {
       mut.window_s = require_positive(w->number, "mutation window_s");
     } else if (op == "drop-machine") {
       mut.op = ScenarioMutation::Op::kDropMachine;
-      const JsonValue* v = entry.get("machine");
-      if (v == nullptr || !v->is_number() || v->number < 0.0 ||
-          v->number != std::floor(v->number)) {
+      const std::optional<std::size_t> n = to_size(entry.get("machine"), 0.0);
+      if (!n) {
         fail("mutation drop-machine needs a non-negative integer "
              "\"machine\" instance index");
       }
-      mut.machine = static_cast<std::size_t>(v->number);
+      mut.machine = *n;
     } else {
       fail("unknown mutation op '" + op +
            "' (want add-tasks|remove-tasks|set-window|drop-machine)");

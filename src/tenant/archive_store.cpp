@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/fitness_cache.hpp"
 #include "core/population_io.hpp"
 #include "pareto/archive.hpp"
 
@@ -185,7 +184,7 @@ std::size_t ArchiveStore::put(const std::string& tenant,
   }
   ParetoArchive merged(config_.genomes_per_entry);
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (merged.insert(pool_points[i], i, FitnessCache::fingerprint(*pool[i])) &&
+    if (merged.insert(pool_points[i], i, genome_fingerprint(*pool[i])) &&
         inserts_ != nullptr) {
       inserts_->add();
     }

@@ -7,7 +7,6 @@
 #include <string>
 #include <unordered_set>
 
-#include "core/fitness_cache.hpp"
 #include "workload/trace.hpp"
 
 namespace eus::tenant {
@@ -153,7 +152,7 @@ std::vector<Allocation> repair_genomes(const std::vector<Allocation>& genomes,
       for (int& p : a.pstate) p = std::clamp(p, 0, top);
     }
 
-    if (seen.insert(FitnessCache::fingerprint(a)).second) {
+    if (seen.insert(genome_fingerprint(a)).second) {
       repaired.push_back(std::move(a));
     }
   }

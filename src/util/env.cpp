@@ -50,22 +50,6 @@ std::size_t bench_threads() {
   return t < 0 ? 0U : static_cast<std::size_t>(t);
 }
 
-std::size_t bench_cache_capacity() {
-  constexpr std::size_t kDefault = 1U << 12U;
-  const auto text = env_string("EUS_CACHE");
-  if (!text) return kDefault;
-  if (*text == "off" || *text == "none" || *text == "0") return 0;
-  if (*text == "on") return kDefault;
-  const std::int64_t v = env_int("EUS_CACHE", -1);
-  return v > 0 ? static_cast<std::size_t>(v) : kDefault;
-}
-
-bool incremental_enabled() {
-  const auto text = env_string("EUS_INCREMENTAL");
-  if (!text) return true;
-  return !(*text == "off" || *text == "none" || *text == "0");
-}
-
 std::uint16_t serve_port() {
   constexpr std::int64_t kDefault = 7461;
   const std::int64_t p = env_int("EUS_SERVE_PORT", kDefault);

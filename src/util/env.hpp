@@ -33,19 +33,6 @@ namespace eus {
 /// n workers.  Negative/invalid values fall back to 0.
 [[nodiscard]] std::size_t bench_threads();
 
-/// The fitness-memoization knob (EUS_CACHE): "off"/"none"/"0" disables the
-/// cache, unset/"on" selects the default capacity, and a positive integer
-/// sets the maximum number of cached genomes.  Returns 0 when disabled.
-/// Fronts are bit-identical either way; only wall-clock changes.
-[[nodiscard]] std::size_t bench_cache_capacity();
-
-/// The incremental-evaluation knob (EUS_INCREMENTAL): "off"/"none"/"0"
-/// forces every evaluation through the full simulator, unset/"on"/anything
-/// else keeps the delta-evaluator fast path enabled.  Mirrors EUS_CACHE:
-/// fronts are bit-identical either way; only wall-clock changes.  Read at
-/// Evaluator construction (EvaluatorOptions::incremental overrides it).
-[[nodiscard]] bool incremental_enabled();
-
 /// eus_served's default listen port (EUS_SERVE_PORT, default 7461; out-of-
 /// range or invalid values fall back to the default).
 [[nodiscard]] std::uint16_t serve_port();

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace eus {
 namespace {
@@ -72,6 +74,27 @@ TEST(AllocationIo, RejectsOutOfOrderTaskIds) {
   EXPECT_THROW(
       (void)allocation_from_csv("task,machine,order\n1,0,0\n0,0,1\n"),
       std::runtime_error);
+}
+
+Allocation genome(std::vector<int> machine, std::vector<int> order,
+                  std::vector<int> pstate = {}) {
+  Allocation a;
+  a.machine = std::move(machine);
+  a.order = std::move(order);
+  a.pstate = std::move(pstate);
+  return a;
+}
+
+TEST(GenomeFingerprint, SeparatesGeneVectors) {
+  // The fingerprint must distinguish which vector a gene lives in and
+  // where vector boundaries fall, not just the concatenated values.
+  const auto fp = [](const Allocation& a) { return genome_fingerprint(a); };
+  EXPECT_EQ(fp(genome({0, 1}, {2, 3})), fp(genome({0, 1}, {2, 3})));
+  EXPECT_NE(fp(genome({0, 1}, {2, 3})), fp(genome({1, 0}, {2, 3})));
+  EXPECT_NE(fp(genome({0, 1}, {2, 3})), fp(genome({0, 1}, {3, 2})));
+  EXPECT_NE(fp(genome({0, 1}, {2, 3})), fp(genome({0, 1}, {2, 3}, {0, 0})));
+  EXPECT_NE(fp(genome({0, 1, 2}, {0, 1, 2})), fp(genome({0, 1}, {2, 0, 1, 2})));
+  EXPECT_NE(fp(genome({-1}, {0})), fp(genome({1}, {0})));
 }
 
 }  // namespace

@@ -13,7 +13,6 @@ class EnvTest : public ::testing::Test {
     unsetenv("EUS_TEST_VAR");
     unsetenv("EUS_SCALE");
     unsetenv("EUS_SEED");
-    unsetenv("EUS_CACHE");
   }
 };
 
@@ -79,32 +78,6 @@ TEST_F(EnvTest, BenchSeedDefault) {
 TEST_F(EnvTest, BenchSeedReadsEnv) {
   setenv("EUS_SEED", "99", 1);
   EXPECT_EQ(bench_seed(), 99ULL);
-}
-
-TEST_F(EnvTest, BenchCacheDefaultsOn) {
-  unsetenv("EUS_CACHE");
-  EXPECT_EQ(bench_cache_capacity(), 1U << 12U);
-  setenv("EUS_CACHE", "on", 1);
-  EXPECT_EQ(bench_cache_capacity(), 1U << 12U);
-}
-
-TEST_F(EnvTest, BenchCacheOffSpellings) {
-  for (const char* off : {"off", "none", "0"}) {
-    setenv("EUS_CACHE", off, 1);
-    EXPECT_EQ(bench_cache_capacity(), 0U) << off;
-  }
-}
-
-TEST_F(EnvTest, BenchCacheExplicitCapacity) {
-  setenv("EUS_CACHE", "4096", 1);
-  EXPECT_EQ(bench_cache_capacity(), 4096U);
-}
-
-TEST_F(EnvTest, BenchCacheFallbackOnGarbage) {
-  setenv("EUS_CACHE", "lots", 1);
-  EXPECT_EQ(bench_cache_capacity(), 1U << 12U);
-  setenv("EUS_CACHE", "-5", 1);
-  EXPECT_EQ(bench_cache_capacity(), 1U << 12U);
 }
 
 }  // namespace

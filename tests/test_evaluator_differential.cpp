@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/fitness_cache.hpp"
 #include "core/nsga2.hpp"
 #include "core/problem.hpp"
 #include "heuristics/seeds.hpp"
@@ -221,7 +220,7 @@ TEST(EvaluatorDifferential, InvalidParentStateFallsBack) {
 TEST(EvaluatorDifferential, IncrementalDisabledMatchesFullPath) {
   const Scenario scenario = make_dataset1(14);
   EvaluatorOptions options;
-  options.incremental = false;  // the EUS_INCREMENTAL=off configuration
+  options.incremental = false;  // the full-simulator oracle
   const Evaluator off(scenario.system, scenario.trace, options);
   const Evaluator on(scenario.system, scenario.trace);
   EXPECT_FALSE(off.incremental_on());
@@ -346,42 +345,61 @@ TEST(EvaluatorDifferential, TelemetryCountsHitsAndFallbacks) {
 
 TEST(EvaluatorDifferential, FrontsInvariantAcrossExecutionModes) {
   // The same seed must yield bit-identical fronts whether evaluation is
-  // interleaved (serial), pooled, delta-evaluated, or memoized: the
-  // evaluator is a pure function and none of these paths may perturb it.
+  // interleaved (serial), pooled, or delta-evaluated: the evaluator is a
+  // pure function and none of these paths may perturb it.
   const Scenario scenario = make_dataset1(19);
 
-  const auto front_for = [&](bool incremental, std::size_t threads,
-                             bool with_cache) {
+  const auto front_for = [&](bool incremental, std::size_t threads) {
     EvaluatorOptions options;
     options.incremental = incremental;
     const UtilityEnergyProblem problem(scenario.system, scenario.trace,
                                        std::move(options));
-    FitnessCacheConfig cache_config;
-    cache_config.capacity = 4096;
-    FitnessCache cache(cache_config);
     Nsga2Config config;
     config.population_size = 16;
     config.threads = threads;
     config.seed = 123;
-    if (with_cache) config.cache = &cache;
     Nsga2 algorithm(problem, config);
     algorithm.initialize({});
     algorithm.iterate(5);
     return algorithm.front_points();
   };
 
-  const std::vector<EUPoint> reference = front_for(true, 1, false);
+  const std::vector<EUPoint> reference = front_for(true, 1);
   ASSERT_FALSE(reference.empty());
   for (const bool incremental : {true, false}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-      for (const bool with_cache : {false, true}) {
-        SCOPED_TRACE(std::string("incremental=") +
-                     (incremental ? "on" : "off") + " threads=" +
-                     std::to_string(threads) + " cache=" +
-                     (with_cache ? "on" : "off"));
-        EXPECT_EQ(front_for(incremental, threads, with_cache), reference);
-      }
+      SCOPED_TRACE(std::string("incremental=") +
+                   (incremental ? "on" : "off") + " threads=" +
+                   std::to_string(threads));
+      EXPECT_EQ(front_for(incremental, threads), reference);
     }
+  }
+}
+
+TEST(EvaluatorDifferential, EveryPopulationMemberCarriesAnEvalState) {
+  // Nsga2 hands each hinted offspring its parent's EvalState without
+  // checking it: the delta path is only as good as the invariant that
+  // every population member, at every generation, has a valid state.
+  const Scenario scenario = make_dataset1(20);
+  const UtilityEnergyProblem problem(scenario.system, scenario.trace);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Nsga2Config config;
+    config.population_size = 16;
+    config.threads = threads;
+    config.seed = 321;
+    Nsga2 algorithm(problem, config);
+    const auto expect_all_valid = [&](const char* when) {
+      ASSERT_EQ(algorithm.population().size(), config.population_size);
+      for (std::size_t i = 0; i < algorithm.population().size(); ++i) {
+        EXPECT_TRUE(algorithm.population()[i].state.valid())
+            << when << ": member " << i;
+      }
+    };
+    algorithm.initialize({});
+    expect_all_valid("after initialize");
+    algorithm.iterate(5);
+    expect_all_valid("after iterate(5)");
   }
 }
 

@@ -362,6 +362,40 @@ TEST(ParseRequest, DeltaRejectsMalformedDocuments) {
              "scenario":{"name":"dataset1"}})");
 }
 
+TEST(ParseRequest, RejectsIntegersAboveTwoToThe53) {
+  // Counts and indices are integral doubles on the wire; past 2^53 they
+  // are refused with the field's own message, never cast (from 2^64 on
+  // the cast to std::size_t is undefined).
+  const auto reject = [](const char* text, const std::string& message) {
+    try {
+      (void)parse_request_text(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const ProtocolError& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  };
+  reject(R"({"type":"allocate","mode":"nsga2",
+             "scenario":{"name":"dataset1"},"nsga2":{"population":1e20}})",
+         "population must be a non-negative integer");
+  reject(R"({"type":"allocate","mode":"nsga2",
+             "scenario":{"name":"dataset1"},
+             "nsga2":{"population":9007199254740994}})",
+         "population must be a non-negative integer");
+  reject(R"({"type":"adminz","action":"set-queue-depth","value":1e20})",
+         R"(admin.set-queue-depth needs an integer "value" >= 1)");
+  reject(R"({"type":"adminz","action":"archive-cap","name":"t",
+             "value":1e20})",
+         R"(admin.archive-cap needs an integer "value" >= 1)");
+  reject(R"({"type":"delta","tenant":"t","base":{"name":"custom"},
+             "mutations":[{"op":"drop-machine","machine":1e20}]})",
+         R"(mutation drop-machine needs a non-negative integer "machine")");
+  // 2^53 itself is still exact, so still accepted.
+  const ServeRequest r = parse_request_text(
+      R"({"type":"adminz","action":"set-workers","value":9007199254740992})");
+  EXPECT_EQ(r.admin.value, std::size_t{1} << 53U);
+}
+
 TEST(ApplyMutations, MutatesCustomSpecsAndRefusesDatasetShapes) {
   ScenarioSpec base;
   base.name = "custom";

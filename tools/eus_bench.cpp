@@ -71,9 +71,8 @@ void print_usage(std::ostream& out) {
          "swallowing it\n"
          "  -h, --help             this text\n"
          "\n"
-         "Scenario workloads honor EUS_SCALE / EUS_SEED / EUS_THREADS / "
-         "EUS_CACHE /\nEUS_RUNLOG exactly as the former standalone binaries "
-         "did.\n";
+         "Scenario workloads honor EUS_SCALE / EUS_SEED / EUS_THREADS /\n"
+         "EUS_RUNLOG exactly as the former standalone binaries did.\n";
 }
 
 std::optional<CliOptions> parse_args(int argc, char** argv) {
