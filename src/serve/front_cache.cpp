@@ -12,11 +12,22 @@ FrontCache::FrontCache(std::size_t capacity, MetricsRegistry* metrics)
 }
 
 std::optional<CachedResult> FrontCache::lookup(const std::string& key) {
+  return find(key, true);
+}
+
+std::optional<CachedResult> FrontCache::probe(const std::string& key) {
+  return find(key, false);
+}
+
+std::optional<CachedResult> FrontCache::find(const std::string& key,
+                                             bool count_miss) {
   const std::lock_guard lock(mutex_);
   const auto it = index_.find(key);
   if (it == index_.end()) {
-    ++misses_;
-    if (metric_misses_ != nullptr) metric_misses_->add();
+    if (count_miss) {
+      ++misses_;
+      if (metric_misses_ != nullptr) metric_misses_->add();
+    }
     return std::nullopt;
   }
   ++hits_;

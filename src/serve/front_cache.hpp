@@ -6,8 +6,8 @@
 // fingerprint can answer from the cached front/allocation without touching
 // the evaluator — and "pareto-query" requests resolve against the front a
 // prior "nsga2" request deposited.  Capacity-bounded (strict LRU eviction)
-// and mutex-guarded: request handlers on different workers share one
-// instance.
+// and mutex-guarded: connection threads probe it while workers insert into
+// it, all through one instance.
 
 #include <cstddef>
 #include <cstdint>
@@ -48,6 +48,11 @@ class FrontCache {
   /// Cached result for `key`, refreshing its recency; nullopt on miss.
   [[nodiscard]] std::optional<CachedResult> lookup(const std::string& key);
 
+  /// lookup() for a caller that repeats it on a miss: a hit is counted and
+  /// refreshed as usual, a miss is not counted, so a request probed twice
+  /// still counts once in hits + misses.
+  [[nodiscard]] std::optional<CachedResult> probe(const std::string& key);
+
   /// Stores (or refreshes) `result` under `key`, evicting the least
   /// recently used entry when at capacity.
   void insert(const std::string& key, CachedResult result);
@@ -70,6 +75,8 @@ class FrontCache {
     std::string key;
     CachedResult result;
   };
+
+  std::optional<CachedResult> find(const std::string& key, bool count_miss);
 
   std::size_t capacity_;  ///< guarded by mutex_ (live-resizable)
   mutable std::mutex mutex_;

@@ -253,16 +253,103 @@ Scenario build_scenario(const ScenarioSpec& spec) {
   }
 }
 
+namespace {
+
+HandleResult failure(const ServeRequest& request, int code,
+                     std::string_view message) {
+  return {code, error_payload(request.id, code, "error", message)};
+}
+
+/// Runs a handler body, turning what it throws into an error answer:
+/// invalid parameter combinations are 400s, anything else a 500.
+template <typename Body>
+auto guarded(const ServeRequest& request, const Body& body)
+    -> decltype(body()) {
+  try {
+    return body();
+  } catch (const ProtocolError& e) {
+    return failure(request, kCodeBadRequest, e.what());
+  } catch (const std::invalid_argument& e) {
+    return failure(request, kCodeBadRequest, e.what());
+  } catch (const std::exception& e) {
+    return failure(request, kCodeInternal, e.what());
+  }
+}
+
+/// How an allocate result came about; the response reports it.
+struct Provenance {
+  bool cache_hit = false;
+  bool warm = false;
+  bool partial = false;
+};
+
+/// The allocate response for `result`.  A worker and a connection thread
+/// render the same cached result to the same bytes, apart from `timing`.
+HandleResult render_allocate(const ServeRequest& request,
+                             const CachedResult& result,
+                             const Provenance& provenance, double queue_ms,
+                             const Stopwatch& service) {
+  std::optional<EUPoint> point;
+  if (request.mode == ModeKind::kParetoQuery) {
+    point = select_point(request.query, result.front);
+    if (!point) {
+      return {kCodeUnsatisfiable,
+              error_payload(request.id, kCodeUnsatisfiable, "error",
+                            "no front point satisfies the query "
+                            "constraints"),
+              provenance.cache_hit};
+    }
+  } else if (request.mode == ModeKind::kHeuristic && !result.front.empty()) {
+    point = result.front.front();
+  }
+
+  const int code = provenance.partial ? kCodePartial : kCodeOk;
+  JsonObject o;
+  o.field("type", "response");
+  if (!request.id.empty()) o.field("id", request.id);
+  o.field("status", provenance.partial ? "partial" : "ok");
+  o.field("code", static_cast<std::int64_t>(code));
+  std::string mode{to_string(request.mode)};
+  if (request.mode == ModeKind::kHeuristic) {
+    mode += std::string(":") + heuristic_slug(request.heuristic);
+  }
+  o.field("mode", mode);
+  o.field("scenario", request.scenario.name);
+  if (!request.tenant.empty()) {
+    o.field("tenant", request.tenant);
+    o.field("warm", provenance.warm);
+  }
+  o.field("cache", provenance.cache_hit ? "hit" : "miss");
+  o.raw("front", front_json(result.front));
+  if (point) o.raw("objectives", point_json(*point));
+  if (result.has_allocation) {
+    o.raw("allocation", allocation_json(result.allocation));
+  }
+  o.field("generations", static_cast<std::uint64_t>(result.generations));
+  o.field("evaluations", result.evaluations);
+  o.field("deadline_exceeded", provenance.partial);
+  JsonObject timing;
+  timing.field("queue_ms", queue_ms);
+  timing.field("service_ms", service.milliseconds());
+  o.raw("timing", timing.str());
+  return {code, o.str(), provenance.cache_hit};
+}
+
+}  // namespace
+
 HandleResult handle_allocate(const ServeRequest& request,
                              const HandlerContext& ctx,
                              std::optional<double> remaining_ms,
                              double queue_ms) {
   const Stopwatch service;
-  try {
+  return guarded(request, [&] {
     const std::string key = request_fingerprint(request);
     std::optional<CachedResult> cached;
     if (ctx.cache != nullptr) cached = ctx.cache->lookup(key);
-    const bool cache_hit = cached.has_value();
+    if (cached) {
+      return render_allocate(request, *cached, {.cache_hit = true}, queue_ms,
+                             service);
+    }
 
     // The warm-start archive participates only for tenant-scoped
     // population runs: heuristics are single evaluations and the tenant-
@@ -272,104 +359,60 @@ HandleResult handle_allocate(const ServeRequest& request,
     bool warm = false;
     bool partial = false;
     CachedResult result;
-    if (cache_hit) {
-      result = std::move(*cached);
-    } else {
-      const Scenario scenario = build_scenario(request.scenario);
-      if (request.mode == ModeKind::kHeuristic) {
-        result.allocation =
-            make_seed(request.heuristic, scenario.system, scenario.trace);
-        const Evaluator evaluator(scenario.system, scenario.trace);
-        const Evaluation e = evaluator.evaluate(result.allocation);
-        result.front = {EUPoint{e.energy, e.utility}};
-        result.has_allocation = true;
-        result.evaluations = 1;
-      } else {
-        const UtilityEnergyProblem problem(scenario.system, scenario.trace);
-        const std::string scenario_key = scenario_fingerprint(request.scenario);
-        std::vector<Allocation> repaired;
-        if (archivable) {
-          if (const std::optional<tenant::ArchivedFront> hit =
-                  ctx.archive->lookup(request.tenant, scenario_key)) {
-            repaired = tenant::repair_genomes(hit->genomes, problem);
-          }
-        }
-        warm = !repaired.empty();
-        EvolveSpec spec;
-        spec.population = request.nsga2.population;
-        spec.generations = request.nsga2.generations;
-        spec.mutation_probability = request.nsga2.mutation_probability;
-        spec.seed = request.scenario.seed;
-        spec.heuristics = request.nsga2.seeds;
-        if (warm) spec.warm = &repaired;
-        std::vector<Allocation> genomes;
-        partial =
-            run_nsga2(spec, ctx, scenario, problem, remaining_ms, result,
-                      archivable ? &genomes : nullptr);
-        if (archivable && !partial) {
-          ctx.archive->put(request.tenant, scenario_key, "", genomes,
-                           result.front);
-        }
-      }
-      // Partial fronts are deadline artifacts, not the fingerprint's true
-      // result — never let them satisfy a later full-budget request.
-      if (ctx.cache != nullptr && !partial) ctx.cache->insert(key, result);
-    }
-
-    int code = partial ? kCodePartial : kCodeOk;
-    std::optional<EUPoint> point;
-    if (request.mode == ModeKind::kParetoQuery) {
-      point = select_point(request.query, result.front);
-      if (!point) {
-        return {kCodeUnsatisfiable,
-                error_payload(request.id, kCodeUnsatisfiable, "error",
-                              "no front point satisfies the query "
-                              "constraints")};
-      }
-    } else if (request.mode == ModeKind::kHeuristic &&
-               !result.front.empty()) {
-      point = result.front.front();
-    }
-
-    JsonObject o;
-    o.field("type", "response");
-    if (!request.id.empty()) o.field("id", request.id);
-    o.field("status", partial ? "partial" : "ok");
-    o.field("code", static_cast<std::int64_t>(code));
-    std::string mode{to_string(request.mode)};
+    const Scenario scenario = build_scenario(request.scenario);
     if (request.mode == ModeKind::kHeuristic) {
-      mode += std::string(":") + heuristic_slug(request.heuristic);
+      result.allocation =
+          make_seed(request.heuristic, scenario.system, scenario.trace);
+      const Evaluator evaluator(scenario.system, scenario.trace);
+      const Evaluation e = evaluator.evaluate(result.allocation);
+      result.front = {EUPoint{e.energy, e.utility}};
+      result.has_allocation = true;
+      result.evaluations = 1;
+    } else {
+      const UtilityEnergyProblem problem(scenario.system, scenario.trace);
+      const std::string scenario_key = scenario_fingerprint(request.scenario);
+      std::vector<Allocation> repaired;
+      if (archivable) {
+        if (const std::optional<tenant::ArchivedFront> hit =
+                ctx.archive->lookup(request.tenant, scenario_key)) {
+          repaired = tenant::repair_genomes(hit->genomes, problem);
+        }
+      }
+      warm = !repaired.empty();
+      EvolveSpec spec;
+      spec.population = request.nsga2.population;
+      spec.generations = request.nsga2.generations;
+      spec.mutation_probability = request.nsga2.mutation_probability;
+      spec.seed = request.scenario.seed;
+      spec.heuristics = request.nsga2.seeds;
+      if (warm) spec.warm = &repaired;
+      std::vector<Allocation> genomes;
+      partial = run_nsga2(spec, ctx, scenario, problem, remaining_ms, result,
+                          archivable ? &genomes : nullptr);
+      if (archivable && !partial) {
+        ctx.archive->put(request.tenant, scenario_key, "", genomes,
+                         result.front);
+      }
     }
-    o.field("mode", mode);
-    o.field("scenario", request.scenario.name);
-    if (!request.tenant.empty()) {
-      o.field("tenant", request.tenant);
-      o.field("warm", warm);
-    }
-    o.field("cache", cache_hit ? "hit" : "miss");
-    o.raw("front", front_json(result.front));
-    if (point) o.raw("objectives", point_json(*point));
-    if (result.has_allocation) {
-      o.raw("allocation", allocation_json(result.allocation));
-    }
-    o.field("generations", static_cast<std::uint64_t>(result.generations));
-    o.field("evaluations", result.evaluations);
-    o.field("deadline_exceeded", partial);
-    JsonObject timing;
-    timing.field("queue_ms", queue_ms);
-    timing.field("service_ms", service.milliseconds());
-    o.raw("timing", timing.str());
-    return {code, o.str()};
-  } catch (const ProtocolError& e) {
-    return {kCodeBadRequest,
-            error_payload(request.id, kCodeBadRequest, "error", e.what())};
-  } catch (const std::invalid_argument& e) {
-    return {kCodeBadRequest,
-            error_payload(request.id, kCodeBadRequest, "error", e.what())};
-  } catch (const std::exception& e) {
-    return {kCodeInternal,
-            error_payload(request.id, kCodeInternal, "error", e.what())};
-  }
+    // Partial fronts are deadline artifacts, not the fingerprint's true
+    // result — never let them satisfy a later full-budget request.
+    if (ctx.cache != nullptr && !partial) ctx.cache->insert(key, result);
+    return render_allocate(request, result, {.warm = warm, .partial = partial},
+                           queue_ms, service);
+  });
+}
+
+std::optional<HandleResult> answer_from_cache(const ServeRequest& request,
+                                              const HandlerContext& ctx) {
+  if (ctx.cache == nullptr) return std::nullopt;
+  const Stopwatch service;
+  return guarded(request, [&]() -> std::optional<HandleResult> {
+    const std::optional<CachedResult> cached =
+        ctx.cache->probe(request_fingerprint(request));
+    if (!cached) return std::nullopt;
+    return render_allocate(request, *cached, {.cache_hit = true}, 0.0,
+                           service);
+  });
 }
 
 HandleResult handle_delta(const ServeRequest& request,
@@ -377,7 +420,7 @@ HandleResult handle_delta(const ServeRequest& request,
                           std::optional<double> remaining_ms,
                           double queue_ms) {
   const Stopwatch service;
-  try {
+  return guarded(request, [&]() -> HandleResult {
     const DeltaRequest& delta = request.delta;
     const std::string base_key = scenario_fingerprint(delta.base);
     const ScenarioSpec mutated = apply_mutations(delta.base, delta.mutations);
@@ -463,16 +506,7 @@ HandleResult handle_delta(const ServeRequest& request,
     timing.field("service_ms", service.milliseconds());
     o.raw("timing", timing.str());
     return {code, o.str()};
-  } catch (const ProtocolError& e) {
-    return {kCodeBadRequest,
-            error_payload(request.id, kCodeBadRequest, "error", e.what())};
-  } catch (const std::invalid_argument& e) {
-    return {kCodeBadRequest,
-            error_payload(request.id, kCodeBadRequest, "error", e.what())};
-  } catch (const std::exception& e) {
-    return {kCodeInternal,
-            error_payload(request.id, kCodeInternal, "error", e.what())};
-  }
+  });
 }
 
 }  // namespace eus::serve

@@ -24,7 +24,9 @@
 //
 // Handlers are stateless and thread-safe; cross-request state (the LRU
 // front cache, the warm-start archive, the shared evaluation pool,
-// metrics) arrives through the HandlerContext.
+// metrics) arrives through the HandlerContext.  answer_from_cache is the
+// one handler the server runs on a connection thread: a cache hit is a
+// lookup and a render, so it never waits for a worker.
 
 #include <optional>
 #include <string>
@@ -57,7 +59,8 @@ struct HandlerContext {
 
 struct HandleResult {
   int code = kCodeOk;
-  std::string payload;  ///< complete response JSON document
+  std::string payload;     ///< complete response JSON document
+  bool cache_hit = false;  ///< answered from the front cache
 };
 
 /// Builds the canonical error/overload payload (also used by the server for
@@ -81,6 +84,14 @@ struct HandleResult {
                                            const HandlerContext& ctx,
                                            std::optional<double> remaining_ms,
                                            double queue_ms);
+
+/// The connection thread's share of an allocate request: answers it from
+/// the front cache when its result is resident, rendered exactly as
+/// handle_allocate renders a hit but with `timing.queue_ms` 0.  Returns
+/// nullopt on a miss (or with no cache) without counting it, since
+/// handle_allocate probes again and counts the miss itself.
+[[nodiscard]] std::optional<HandleResult> answer_from_cache(
+    const ServeRequest& request, const HandlerContext& ctx);
 
 /// Executes one delta request: resolves the tenant's archived base front,
 /// repairs it for the mutated scenario, and re-polishes it over

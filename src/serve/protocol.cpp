@@ -40,6 +40,18 @@ std::optional<std::size_t> to_size(const JsonValue* v, double min) {
   return static_cast<std::size_t>(v->number);
 }
 
+/// A seed: any integer in [0, 2^64).  Unlike counts, seeds above 2^53 are
+/// accepted (clients send them; the nearest double is the seed), but from
+/// 2^64 on — infinity included — the cast to std::uint64_t is undefined.
+std::optional<std::uint64_t> to_seed(const JsonValue* v) {
+  constexpr double kTwoToThe64 = 18446744073709551616.0;
+  if (v == nullptr || !v->is_number() || !(v->number >= 0.0) ||
+      !(v->number < kTwoToThe64) || v->number != std::floor(v->number)) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(v->number);
+}
+
 std::size_t size_field(const JsonValue& obj, std::string_view key,
                        std::size_t fallback) {
   const JsonValue* v = obj.get(key);
@@ -89,12 +101,10 @@ ScenarioSpec parse_scenario(const JsonValue& doc, std::string_view key) {
   }
   ScenarioSpec spec;
   spec.name = s->string_or("name", "");
-  if (const JsonValue* seed = s->get("seed"); seed != nullptr) {
-    if (!seed->is_number() || seed->number < 0.0 ||
-        seed->number != std::floor(seed->number)) {
-      fail("scenario.seed must be a non-negative integer");
-    }
-    spec.seed = static_cast<std::uint64_t>(seed->number);
+  if (const JsonValue* v = s->get("seed"); v != nullptr) {
+    const std::optional<std::uint64_t> seed = to_seed(v);
+    if (!seed) fail("scenario.seed must be a non-negative integer");
+    spec.seed = *seed;
     spec.seed_set = true;
   }
   if (spec.name == "dataset1" || spec.name == "dataset2" ||
@@ -177,12 +187,10 @@ AdminRequest parse_admin(const JsonValue& doc) {
       recipe.base = entry.string_or("base", "");
       if (recipe.name.empty()) fail("catalog entry needs a \"name\"");
       if (recipe.base.empty()) fail("catalog entry needs a \"base\"");
-      if (const JsonValue* seed = entry.get("seed"); seed != nullptr) {
-        if (!seed->is_number() || seed->number < 0.0 ||
-            seed->number != std::floor(seed->number)) {
-          fail("catalog entry seed must be a non-negative integer");
-        }
-        recipe.seed = static_cast<std::uint64_t>(seed->number);
+      if (const JsonValue* v = entry.get("seed"); v != nullptr) {
+        const std::optional<std::uint64_t> seed = to_seed(v);
+        if (!seed) fail("catalog entry seed must be a non-negative integer");
+        recipe.seed = *seed;
       }
       recipe.tasks = size_field(entry, "tasks", recipe.tasks);
       recipe.window_s = require_positive(

@@ -217,6 +217,7 @@ void Server::halt_acceptor() {
 
 void Server::halt_queue() {
   if (queue_halted_.exchange(true)) return;
+  draining_.store(true, std::memory_order_relaxed);
   queue_->close();
   if (metric_halt_queue_ != nullptr) metric_halt_queue_->add();
 }
@@ -353,26 +354,39 @@ bool Server::process_payload(Connection* connection,
     send_payload(connection,
                  error_payload(request.id, kCodeBadRequest, "error",
                                e.what()));
-    log_request(request, kCodeBadRequest, total.milliseconds(), false);
+    log_request(request, kCodeBadRequest, total.milliseconds(), false, false);
     return true;
+  }
+
+  if (request.kind == RequestKind::kAllocate) {
+    // Only computation queues.  A resident front is a lookup and a render,
+    // answered here like healthz, so it never waits behind NSGA-II work;
+    // once the queue is closed it is refused like a miss.
+    if (queue_->closed()) {
+      refuse(connection, request, total);
+      return true;
+    }
+    if (const std::optional<HandleResult> hit =
+            answer_from_cache(request, handler_context_)) {
+      answer(connection, request, *hit, total);
+      return true;
+    }
   }
 
   RequestJob job;
   job.request = request;
   std::future<HandleResult> future = job.promise.get_future();
   if (!queue_->try_push(std::move(job))) {
-    metric_dropped_->add();
-    const char* reason = draining_.load(std::memory_order_relaxed)
-                             ? "server is draining; no new work accepted"
-                             : "request queue is full; retry with backoff";
-    send_payload(connection, error_payload(request.id, kCodeOverloaded,
-                                           "overloaded", reason));
-    log_request(request, kCodeOverloaded, total.milliseconds(), true);
+    refuse(connection, request, total);
     return true;
   }
   metric_queue_depth_->set(static_cast<double>(queue_->size()));
+  answer(connection, request, future.get(), total);
+  return true;
+}
 
-  HandleResult result = future.get();
+void Server::answer(Connection* connection, const ServeRequest& request,
+                    const HandleResult& result, const Stopwatch& total) {
   send_payload(connection, result.payload);
   if (result.code == kCodeOk || result.code == kCodePartial) {
     metric_responses_ok_->add();
@@ -380,8 +394,19 @@ bool Server::process_payload(Connection* connection,
     metric_errors_->add();
   }
   metric_latency_->observe_seconds(total.seconds());
-  log_request(request, result.code, total.milliseconds(), false);
-  return true;
+  log_request(request, result.code, total.milliseconds(), false,
+              result.cache_hit);
+}
+
+void Server::refuse(Connection* connection, const ServeRequest& request,
+                    const Stopwatch& total) {
+  metric_dropped_->add();
+  const char* reason = draining_.load(std::memory_order_relaxed)
+                           ? "server is draining; no new work accepted"
+                           : "request queue is full; retry with backoff";
+  send_payload(connection, error_payload(request.id, kCodeOverloaded,
+                                         "overloaded", reason));
+  log_request(request, kCodeOverloaded, total.milliseconds(), true, false);
 }
 
 void Server::send_payload(Connection* connection,
@@ -618,7 +643,7 @@ std::string Server::adminz_payload(const ServeRequest& request) {
 }
 
 void Server::log_request(const ServeRequest& request, int code,
-                         double total_ms, bool dropped) {
+                         double total_ms, bool dropped, bool cache_hit) {
   if (config_.log == nullptr) return;
   JsonObject o;
   o.field("type", "serve_request");
@@ -635,6 +660,9 @@ void Server::log_request(const ServeRequest& request, int code,
                           : request.scenario.name);
   if (!request.tenant.empty()) o.field("tenant", request.tenant);
   o.field("code", static_cast<std::int64_t>(code));
+  if (request.kind == RequestKind::kAllocate) {
+    o.field("cache", cache_hit ? "hit" : "miss");
+  }
   o.field("dropped", dropped);
   o.field("total_ms", total_ms);
   config_.log->write(o.str());

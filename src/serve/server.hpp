@@ -10,12 +10,15 @@
 // facade wiring them together; ServeRuntime (runtime.hpp) owns the
 // process-level lifecycle around it.
 //
-// Flow control: a connection reads one frame, parses it, and enqueues the
-// request; if the queue is full (or the server is draining) the client
-// gets an immediate 503-style JSON error — the queue never grows beyond
-// its configured depth.  healthz/metricsz/adminz requests bypass the queue
-// and answer inline from the connection thread, so health and the admin
-// plane stay responsive under full load.
+// Flow control: a connection reads one frame and parses it.  Only
+// computation is queued: a cache miss (NSGA-II evolution or heuristic
+// construction) and every delta.  An allocate whose front is already in
+// the FrontCache is answered inline from the connection thread, as are
+// healthz/metricsz/adminz, so cached fronts, health and the admin plane
+// never wait behind NSGA-II work.  When the queue is full the client gets
+// an immediate 503-style JSON error — the queue never grows beyond its
+// configured depth — and once it is closed (draining) every allocate and
+// delta, hit or miss, gets that 503.
 //
 // Live administration: set_queue_capacity / set_cache_capacity /
 // set_workers retune the running server without a restart (the adminz
@@ -62,7 +65,8 @@ class RuntimeState;  // runtime.hpp — healthz/adminz report its phase
 // RequestLog, Acceptor and ConnectionSet moved to serve/net.hpp — they are
 // shared with the fleet router (fleet/router.hpp).
 
-/// One queued allocate request, or a WorkerCrew control token.
+/// One queued computation (an allocate cache miss or a delta), or a
+/// WorkerCrew control token.
 struct RequestJob {
   ServeRequest request;
   Stopwatch waited;  ///< starts at enqueue: measures queue time
@@ -125,8 +129,8 @@ struct ServerConfig {
   /// error (EUS_SERVE_QUEUE_DEPTH for the daemon).  Live-tunable via the
   /// set-queue-depth admin verb.
   std::size_t queue_depth = 64;
-  /// Request-executing worker threads (each runs one allocate at a time).
-  /// Live-tunable via the set-workers admin verb.
+  /// Request-executing worker threads (each runs one queued computation
+  /// at a time).  Live-tunable via the set-workers admin verb.
   std::size_t workers = 2;
   /// Shared NSGA-II evaluation pool: 0 = hardware concurrency, 1 = inline
   /// evaluation (no pool).  All concurrent requests share this pool.
@@ -188,7 +192,8 @@ class Server {
   void halt_queue();     ///< refuse new work; queued jobs stay poppable
   void halt_workers();   ///< drain + join workers, then close connections
 
-  /// True once request_stop()/stop()/halt_acceptor() has begun.
+  /// True once request_stop()/stop()/halt_acceptor()/halt_queue() has
+  /// begun.
   [[nodiscard]] bool draining() const noexcept {
     return draining_.load(std::memory_order_relaxed);
   }
@@ -205,6 +210,7 @@ class Server {
   [[nodiscard]] std::size_t worker_target() const;
   [[nodiscard]] std::size_t worker_active() const;
   [[nodiscard]] std::size_t eval_threads() const;  ///< resolved pool size
+  /// Computations a worker is running now; inline cache hits never count.
   [[nodiscard]] std::size_t in_flight() const noexcept {
     return in_flight_.load(std::memory_order_relaxed);
   }
@@ -222,12 +228,18 @@ class Server {
   /// should close (fatal framing error).
   bool process_payload(Connection* connection, const std::string& payload);
   void send_payload(Connection* connection, const std::string& payload);
+  /// Sends a handler's result and records it (counters, latency, log).
+  void answer(Connection* connection, const ServeRequest& request,
+              const HandleResult& result, const Stopwatch& total);
+  /// Sends the 503 for a request the queue would not take.
+  void refuse(Connection* connection, const ServeRequest& request,
+              const Stopwatch& total);
   [[nodiscard]] std::string healthz_payload(const std::string& id) const;
   [[nodiscard]] std::string metricsz_payload(const std::string& id) const;
   [[nodiscard]] std::string adminz_payload(const ServeRequest& request);
   [[nodiscard]] std::string admin_config_payload(const std::string& id) const;
   void log_request(const ServeRequest& request, int code, double total_ms,
-                   bool dropped);
+                   bool dropped, bool cache_hit);
 
   ServerConfig config_;
   std::unique_ptr<MetricsRegistry> owned_metrics_;

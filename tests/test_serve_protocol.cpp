@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "serve/protocol.hpp"
@@ -394,6 +395,41 @@ TEST(ParseRequest, RejectsIntegersAboveTwoToThe53) {
   const ServeRequest r = parse_request_text(
       R"({"type":"adminz","action":"set-workers","value":9007199254740992})");
   EXPECT_EQ(r.admin.value, std::size_t{1} << 53U);
+}
+
+TEST(ParseRequest, SeedsAboveTwoToThe53AreKeptBelowTwoToThe64) {
+  // Seeds are not counts: clients send seeds above 2^53 and get the
+  // nearest double.  From 2^64 on (infinity included) the cast to
+  // std::uint64_t is undefined, so both seed fields refuse them.
+  const auto allocate = [](const std::string& seed) {
+    return std::string(R"({"type":"allocate","mode":"nsga2",)") +
+           R"("scenario":{"name":"dataset1","seed":)" + seed + "}}";
+  };
+  const auto catalog = [](const std::string& seed) {
+    return std::string(R"({"type":"adminz","action":"catalog-reload",)") +
+           R"("catalog":{"scenarios":[{"name":"q","base":"custom",)" +
+           R"("seed":)" + seed + "}]}}";
+  };
+  const auto reject = [](const std::string& text, const char* message) {
+    try {
+      (void)parse_request_text(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const ProtocolError& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const char* seed : {"1e20", "1e400", "18446744073709551616"}) {
+    reject(allocate(seed), "scenario.seed must be a non-negative integer");
+    reject(catalog(seed), "catalog entry seed must be a non-negative integer");
+  }
+  constexpr std::uint64_t kTwoToThe63 = std::uint64_t{1} << 63U;
+  EXPECT_EQ(parse_request_text(allocate("9223372036854775808")).scenario.seed,
+            kTwoToThe63);
+  const ServeRequest reload =
+      parse_request_text(catalog("9223372036854775808"));
+  ASSERT_EQ(reload.admin.catalog.size(), 1U);
+  EXPECT_EQ(reload.admin.catalog[0].seed, kTwoToThe63);
 }
 
 TEST(ApplyMutations, MutatesCustomSpecsAndRefusesDatasetShapes) {

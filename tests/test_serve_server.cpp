@@ -2,8 +2,9 @@
 // on an ephemeral port, driven through the real ClientConnection framing.
 // Covers health/metrics, heuristic correctness, the bit-identical-to-
 // StudyEngine guarantee for nsga2 mode, pareto-query cache resolution,
-// deadline-expiry partial fronts, queue-overflow backpressure, malformed
-// input, concurrent clients and graceful drain.
+// deadline-expiry partial fronts, queue-overflow backpressure, inline
+// cache-hit admission, malformed input, concurrent clients and graceful
+// drain.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -306,6 +308,161 @@ TEST(ServeServer, QueueOverflowGetsExplicitBackpressure) {
   server.stop();
   const MetricsSnapshot snap = server.metrics().snapshot();
   EXPECT_GE(snap.counters.at("serve.dropped"), 1U);
+}
+
+// Holds the worker for about two seconds: a huge budget cut by a deadline
+// (see QueueOverflowGetsExplicitBackpressure for the timing).
+std::string slow_nsga2_request() {
+  return std::string(R"({"type":"allocate","mode":"nsga2",)") +
+         kSmallScenario +
+         R"(,"nsga2":{"population":8,"generations":5000000},
+            "deadline_ms":2000})";
+}
+
+void wait_until(const std::function<bool()>& ready) {
+  const Stopwatch clock;
+  while (!ready() && clock.seconds() < 15.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST(ServeServer, CacheHitsAnswerInlinePastAFullQueue) {
+  ServerConfig config;
+  config.queue_depth = 1;
+  config.workers = 1;
+  Server server(config);
+  server.start();
+  ClientConnection client;
+  client.connect(server.port());
+  ASSERT_EQ(call_json(client, small_nsga2_request()).string_or("cache", ""),
+            "miss");
+
+  // Occupy the single worker, then the single queue slot.
+  ClientConnection busy_a;
+  ClientConnection busy_b;
+  busy_a.connect(server.port());
+  busy_b.connect(server.port());
+  busy_a.send(slow_nsga2_request());
+  wait_until([&] { return server.in_flight() >= 1; });
+  ASSERT_GE(server.in_flight(), 1U);
+  busy_b.send(slow_nsga2_request());
+  wait_until([&] { return server.queue_size() >= 1; });
+  ASSERT_GE(server.queue_size(), 1U);
+
+  // The cached front takes no queue slot and no worker: it answers now.
+  const util::JsonValue hit = call_json(client, small_nsga2_request());
+  EXPECT_EQ(code_of(hit), kCodeOk) << hit.string_or("error", "");
+  EXPECT_EQ(hit.string_or("cache", ""), "hit");
+  const util::JsonValue* timing = hit.get("timing");
+  ASSERT_NE(timing, nullptr);
+  EXPECT_EQ(timing->number_or("queue_ms", -1.0), 0.0);
+  EXPECT_GE(server.in_flight(), 1U);
+
+  // Computation still queues, so an uncached request meets the full queue.
+  const std::string uncached =
+      std::string(R"({"type":"allocate","mode":"nsga2",)") +
+      R"("scenario":{"name":"custom","tasks":10,"window_s":30,"seed":12},)" +
+      R"("nsga2":{"population":8,"generations":4}})";
+  const util::JsonValue refused = call_json(client, uncached);
+  EXPECT_EQ(code_of(refused), kCodeOverloaded);
+  EXPECT_NE(refused.string_or("error", "").find("queue is full"),
+            std::string::npos);
+
+  // Once the queue is closed a hit is refused like a miss.
+  server.halt_queue();
+  const util::JsonValue draining = call_json(client, small_nsga2_request());
+  EXPECT_EQ(code_of(draining), kCodeOverloaded);
+  EXPECT_NE(draining.string_or("error", "").find("draining"),
+            std::string::npos);
+
+  EXPECT_EQ(code_of(util::parse_json(busy_a.receive())), kCodePartial);
+  EXPECT_EQ(code_of(util::parse_json(busy_b.receive())), kCodePartial);
+  server.stop();
+}
+
+TEST(ServeServer, CacheCountersCountEachAllocateOnce) {
+  const std::string log_path =
+      testing::TempDir() + "/eus_serve_cache_log_test.jsonl";
+  std::remove(log_path.c_str());
+  RequestLog log(log_path);
+  ServerConfig config;
+  config.queue_depth = 4;
+  config.workers = 1;
+  config.log = &log;
+  Server server(config);
+  server.start();
+
+  // Two identical requests queue behind a busy worker.  Neither is
+  // resident when it arrives, so both miss the inline probe; the first
+  // computes the front and the second, when its turn comes, is answered
+  // from the cache by the worker.
+  ClientConnection busy;
+  ClientConnection first;
+  ClientConnection second;
+  busy.connect(server.port());
+  first.connect(server.port());
+  second.connect(server.port());
+  busy.send(slow_nsga2_request());
+  wait_until([&] { return server.in_flight() >= 1; });
+  ASSERT_GE(server.in_flight(), 1U);
+  first.send(small_nsga2_request());
+  wait_until([&] { return server.queue_size() >= 1; });
+  second.send(small_nsga2_request());
+  wait_until([&] { return server.queue_size() >= 2; });
+  ASSERT_GE(server.queue_size(), 2U);
+  EXPECT_EQ(code_of(util::parse_json(busy.receive())), kCodePartial);
+  const util::JsonValue computed = util::parse_json(first.receive());
+  const util::JsonValue waited = util::parse_json(second.receive());
+  EXPECT_EQ(computed.string_or("cache", ""), "miss");
+  EXPECT_EQ(waited.string_or("cache", ""), "hit");
+  ASSERT_NE(waited.get("timing"), nullptr);
+  EXPECT_GT(waited.get("timing")->number_or("queue_ms", 0.0), 0.0);
+
+  // Then inline hits (the front again, a pareto-query on it) and a
+  // heuristic computed once and answered once from the cache.
+  ClientConnection client;
+  client.connect(server.port());
+  const std::string query =
+      std::string(R"({"type":"allocate","mode":"pareto-query",)") +
+      kSmallScenario +
+      R"(,"nsga2":{"population":8,"generations":4,
+                   "seeds":["min-energy","max-utility"]}})";
+  const std::string heuristic =
+      std::string(R"({"type":"allocate","mode":"heuristic:min-min",)") +
+      kSmallScenario + "}";
+  EXPECT_EQ(call_json(client, small_nsga2_request()).string_or("cache", ""),
+            "hit");
+  EXPECT_EQ(call_json(client, query).string_or("cache", ""), "hit");
+  EXPECT_EQ(call_json(client, heuristic).string_or("cache", ""), "miss");
+  EXPECT_EQ(call_json(client, heuristic).string_or("cache", ""), "hit");
+
+  constexpr double kAllocates = 7.0;
+  const util::JsonValue metrics = call_json(client, R"({"type":"metricsz"})");
+  const util::JsonValue* counters = metrics.get("counters");
+  ASSERT_NE(counters, nullptr);
+  const double hits = counters->number_or("serve.cache.hits", -1.0);
+  const double misses = counters->number_or("serve.cache.misses", -1.0);
+  EXPECT_EQ(hits, 4.0);
+  EXPECT_EQ(misses, 3.0);
+  EXPECT_EQ(hits + misses, kAllocates);
+  EXPECT_EQ(counters->number_or("serve.responses_ok", 0.0), kAllocates);
+  server.stop();
+
+  // The request log tells cache answers from computed ones.
+  std::ifstream in(log_path);
+  std::string line;
+  double logged_hits = 0.0;
+  double logged_misses = 0.0;
+  while (std::getline(in, line)) {
+    const util::JsonValue doc = util::parse_json(line);
+    if (doc.string_or("type", "") != "serve_request") continue;
+    const std::string cache = doc.string_or("cache", "");
+    logged_hits += cache == "hit" ? 1.0 : 0.0;
+    logged_misses += cache == "miss" ? 1.0 : 0.0;
+  }
+  EXPECT_EQ(logged_hits, hits);
+  EXPECT_EQ(logged_misses, misses);
+  std::remove(log_path.c_str());
 }
 
 TEST(ServeServer, MalformedJsonAnswers400AndKeepsTheConnection) {

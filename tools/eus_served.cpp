@@ -1,8 +1,9 @@
 // eus_served — the allocation-as-a-service daemon.  Listens on loopback,
-// speaks length-prefixed JSON frames (docs/serving.md), executes heuristic
+// speaks length-prefixed JSON frames (docs/serving.md), computes heuristic
 // / NSGA-II / pareto-query allocate requests on a bounded worker queue
-// with explicit backpressure, and serves a live admin plane (adminz:
-// queue depth, cache entries, worker count, catalog hot-reload).
+// with explicit backpressure (fronts already in the cache are answered
+// without queueing), and serves a live admin plane (adminz: queue depth,
+// cache entries, worker count, catalog hot-reload).
 //
 // The process lifecycle lives in ServeRuntime (docs/runtime.md): a phased
 // state machine (booting → running → draining → halting → halted) with a
