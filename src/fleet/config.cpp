@@ -1,6 +1,7 @@
 #include "fleet/config.hpp"
 
 #include <cmath>
+#include <optional>
 #include <set>
 
 namespace eus::fleet {
@@ -102,12 +103,12 @@ BackendConfig parse_backend(const JsonValue& entry) {
                      backend.name);
   backend.watts = positive_field(entry, "watts", backend.watts, backend.name);
   if (const JsonValue* m = entry.get("max_in_flight"); m != nullptr) {
-    if (!m->is_number() || m->number != std::floor(m->number) ||
-        m->number < 1.0) {
+    const std::optional<std::size_t> n = util::to_size(m, 1.0);
+    if (!n) {
       fail("backend '" + backend.name +
            "': max_in_flight must be an integer >= 1");
     }
-    backend.max_in_flight = static_cast<std::size_t>(m->number);
+    backend.max_in_flight = *n;
   }
   if (const JsonValue* e = entry.get("enabled"); e != nullptr) {
     if (e->kind != JsonValue::Kind::kBool) {

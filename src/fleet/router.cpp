@@ -1,11 +1,6 @@
 #include "fleet/router.hpp"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -56,14 +51,18 @@ std::int64_t now_ns() noexcept {
 
 }  // namespace
 
-Router::Router(RouterConfig config) : config_(std::move(config)) {
-  if (config_.metrics != nullptr) {
-    metrics_ = config_.metrics;
-  } else {
-    owned_metrics_ = std::make_unique<MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
-  metric_requests_ = &metrics_->counter("fleet.requests");
+Router::Router(RouterConfig config)
+    : config_(std::move(config)),
+      owned_metrics_(config_.metrics == nullptr
+                         ? std::make_unique<MetricsRegistry>()
+                         : nullptr),
+      metrics_(config_.metrics != nullptr ? config_.metrics
+                                          : owned_metrics_.get()),
+      endpoint_(*this, {.service = "eus_router",
+                        .metric_prefix = "fleet",
+                        .max_frame_bytes = config_.max_frame_bytes,
+                        .metrics = metrics_,
+                        .catalog = config_.catalog}) {
   metric_responses_ok_ = &metrics_->counter("fleet.responses_ok");
   metric_errors_ = &metrics_->counter("fleet.errors");
   metric_retries_ = &metrics_->counter("fleet.retries");
@@ -72,7 +71,6 @@ Router::Router(RouterConfig config) : config_(std::move(config)) {
   metric_backend_down_ = &metrics_->counter("fleet.backend.down");
   metric_backend_up_ = &metrics_->counter("fleet.backend.up");
   metric_probes_ = &metrics_->counter("fleet.probes");
-  metric_admin_actions_ = &metrics_->counter("fleet.admin.actions");
   metric_fleet_reloads_ = &metrics_->counter("fleet.reloads");
   metric_backends_up_ = &metrics_->gauge("fleet.backends_up");
   metric_latency_ = &metrics_->histogram("fleet.latency");
@@ -144,15 +142,7 @@ std::shared_ptr<Router::Fleet> Router::build_fleet(
 
 void Router::start() {
   if (started_.exchange(true)) return;
-  uptime_.reset();
-  acceptor_.start(config_.port, [this](int fd) {
-    const int enable = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
-    connections_.reap();
-    connections_.adopt(fd, [this](serve::ConnectionSet::Connection* c) {
-      connection_loop(c);
-    });
-  });
+  endpoint_.start(config_.port);
   if (config_.health_period_s > 0.0) {
     prober_ = std::thread([this] { prober_loop(); });
   }
@@ -169,15 +159,11 @@ void Router::start() {
   }
 }
 
-void Router::request_stop() noexcept {
-  draining_.store(true, std::memory_order_relaxed);
-  acceptor_.interrupt();
-}
+void Router::request_stop() noexcept { endpoint_.drain(); }
 
 void Router::stop() {
   if (!started_.load()) return;
-  draining_.store(true, std::memory_order_relaxed);
-  acceptor_.halt();
+  endpoint_.stop_accepting();
   {
     const std::lock_guard lock(prober_mutex_);
     prober_stop_ = true;
@@ -186,115 +172,32 @@ void Router::stop() {
   if (prober_.joinable()) prober_.join();
   // In-flight proxied calls finish against backends that answer every
   // accepted request, so halting the readers drains rather than aborts.
-  connections_.halt();
+  endpoint_.join_connections();
 }
 
-void Router::connection_loop(serve::ConnectionSet::Connection* connection) {
-  serve::FrameDecoder decoder(config_.max_frame_bytes);
-  std::vector<char> buffer(64 * 1024);
-  bool keep = true;
-  while (keep) {
-    std::optional<std::string> payload;
-    while (keep && (payload = decoder.next()).has_value()) {
-      keep = process_payload(connection, *payload);
-    }
-    if (!keep) break;
-    const ssize_t n =
-        ::recv(connection->fd, buffer.data(), buffer.size(), 0);
-    if (n == 0) break;  // peer closed (or drain shut the read side)
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    try {
-      decoder.feed(buffer.data(), static_cast<std::size_t>(n));
-    } catch (const serve::ProtocolError& e) {
-      // A hostile length prefix poisons the stream: answer once, close.
-      metric_errors_->add();
-      send_payload(connection,
-                   error_payload("", kCodeBadRequest, "error", e.what()));
-      break;
-    }
-  }
-  connections_.close_fd(connection);
-  connection->done.store(true, std::memory_order_release);
-}
-
-bool Router::process_payload(serve::ConnectionSet::Connection* connection,
-                             const std::string& payload) {
-  serve::ServeRequest request;
-  try {
-    request = serve::parse_request_text(payload);
-  } catch (const serve::ProtocolError& e) {
+void Router::serve(const serve::Reply& reply, serve::ServeRequest request,
+                   const std::string& payload, const Stopwatch& total) {
+  if (draining()) {
     metric_errors_->add();
-    send_payload(connection,
-                 error_payload("", kCodeBadRequest, "error", e.what()));
-    return true;
+    reply.send(error_payload(request.id, kCodeOverloaded, "overloaded",
+                             "router is draining; no new work accepted"));
+    return;
   }
-  metric_requests_->add();
-
-  if (request.kind == serve::RequestKind::kHealthz) {
-    send_payload(connection, healthz_payload(request.id));
-    return true;
-  }
-  if (request.kind == serve::RequestKind::kMetricsz) {
-    send_payload(connection, metricsz_payload(request.id));
-    return true;
-  }
-  if (request.kind == serve::RequestKind::kAdminz) {
-    send_payload(connection, adminz_payload(request));
-    return true;
-  }
-
-  if (draining_.load(std::memory_order_relaxed)) {
-    metric_errors_->add();
-    send_payload(connection,
-                 error_payload(request.id, kCodeOverloaded, "overloaded",
-                               "router is draining; no new work accepted"));
-    return true;
-  }
-  send_payload(connection, route_allocate(std::move(request), payload));
-  return true;
+  reply.send(route(std::move(request), payload, total));
 }
 
-void Router::send_payload(serve::ConnectionSet::Connection* connection,
-                          const std::string& payload) {
-  const std::string frame = serve::encode_frame(payload);
-  std::size_t sent = 0;
-  while (sent < frame.size()) {
-    const ssize_t n = ::send(connection->fd, frame.data() + sent,
-                             frame.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // peer gone; nothing sensible left to do
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-}
-
-std::string Router::route_allocate(serve::ServeRequest request,
-                                   const std::string& payload) {
-  const Stopwatch total;
-
+std::string Router::route(serve::ServeRequest request,
+                          const std::string& payload, const Stopwatch& total) {
   // Resolve catalog aliases before anything else: the fingerprint must key
   // on what actually runs (cache affinity survives reloads), and backends
   // carry no catalog, so an aliased request is re-rendered with its
-  // concrete scenario while everything else forwards byte-for-byte.  A
-  // delta request's scenario lives in delta.base.
-  const bool is_delta = request.kind == serve::RequestKind::kDelta;
-  const bool aliased = !ScenarioCatalog::is_builtin_name(
-      is_delta ? request.delta.base.name : request.scenario.name);
-  std::string forward_payload;
+  // concrete scenario while everything else forwards byte-for-byte.
+  std::string forward_payload = payload;
   try {
-    std::shared_ptr<const ScenarioCatalog> catalog;
-    if (config_.catalog != nullptr) catalog = config_.catalog->snapshot();
-    if (is_delta) {
-      request.delta.base =
-          resolve_scenario(request.delta.base, catalog.get());
-      forward_payload = aliased ? render_delta_request(request) : payload;
-    } else {
-      request.scenario = resolve_scenario(request.scenario, catalog.get());
-      forward_payload = aliased ? render_allocate_request(request) : payload;
+    if (resolve_request_scenario(request, config_.catalog)) {
+      forward_payload = request.kind == serve::RequestKind::kDelta
+                            ? render_delta_request(request)
+                            : render_allocate_request(request);
     }
   } catch (const serve::ProtocolError& e) {
     metric_errors_->add();
@@ -634,7 +537,7 @@ void Router::append_backends_json(std::string& out) const {
   out += ']';
 }
 
-std::string Router::healthz_payload(const std::string& id) const {
+void Router::healthz_fields(JsonObject& out) const {
   const std::shared_ptr<const Fleet> fleet = fleet_snapshot();
   std::size_t up = 0;
   std::size_t enabled = 0;
@@ -642,84 +545,26 @@ std::string Router::healthz_payload(const std::string& id) const {
     if (backend->up.load(std::memory_order_relaxed)) ++up;
     if (backend->enabled.load(std::memory_order_relaxed)) ++enabled;
   }
-  JsonObject o;
-  o.field("type", "response");
-  if (!id.empty()) o.field("id", id);
-  o.field("status", "ok");
-  o.field("code", static_cast<std::int64_t>(kCodeOk));
-  o.field("service", "eus_router");
-  o.field("uptime_s", uptime_.seconds());
-  o.field("policy", to_string(config_.policy));
-  o.field("backends", static_cast<std::uint64_t>(fleet->backends.size()));
-  o.field("backends_up", static_cast<std::uint64_t>(up));
-  o.field("backends_enabled", static_cast<std::uint64_t>(enabled));
-  if (config_.catalog != nullptr) {
-    o.field("catalog_generation",
-            static_cast<std::uint64_t>(config_.catalog->generation()));
-    o.field("catalog_size",
-            static_cast<std::uint64_t>(config_.catalog->snapshot()->size()));
-  }
-  o.field("draining", draining_.load(std::memory_order_relaxed));
-  return o.str();
+  out.field("policy", to_string(config_.policy));
+  out.field("backends", static_cast<std::uint64_t>(fleet->backends.size()));
+  out.field("backends_up", static_cast<std::uint64_t>(up));
+  out.field("backends_enabled", static_cast<std::uint64_t>(enabled));
 }
 
-std::string Router::metricsz_payload(const std::string& id) const {
-  const MetricsSnapshot snap = metrics_->snapshot();
-  JsonObject o;
-  o.field("type", "response");
-  if (!id.empty()) o.field("id", id);
-  o.field("status", "ok");
-  o.field("code", static_cast<std::int64_t>(kCodeOk));
-  o.field("service", "eus_router");
-  o.field("uptime_s", uptime_.seconds());
-  append_snapshot(o, snap);
-  return o.str();
-}
-
-std::string Router::admin_config_payload(const std::string& id) const {
-  JsonObject o;
-  o.field("type", "response");
-  if (!id.empty()) o.field("id", id);
-  o.field("status", "ok");
-  o.field("code", static_cast<std::int64_t>(kCodeOk));
-  o.field("action", "get-config");
-  o.field("service", "eus_router");
-  o.field("port", static_cast<std::uint64_t>(port()));
-  o.field("policy", to_string(config_.policy));
-  o.field("health_period_s", config_.health_period_s);
-  o.field("probe_timeout_ms", config_.probe_timeout_ms);
-  o.field("max_backoff_s", config_.max_backoff_s);
-  o.field("max_frame_bytes",
-          static_cast<std::uint64_t>(config_.max_frame_bytes));
+void Router::config_fields(JsonObject& out) const {
+  out.field("service", "eus_router");
+  out.field("policy", to_string(config_.policy));
+  out.field("health_period_s", config_.health_period_s);
+  out.field("probe_timeout_ms", config_.probe_timeout_ms);
+  out.field("max_backoff_s", config_.max_backoff_s);
   std::string backends;
   append_backends_json(backends);
-  o.raw("backends", backends);
-  if (config_.catalog != nullptr) {
-    o.field("catalog_generation",
-            static_cast<std::uint64_t>(config_.catalog->generation()));
-    o.field("catalog_size",
-            static_cast<std::uint64_t>(config_.catalog->snapshot()->size()));
-  }
-  o.field("draining", draining_.load(std::memory_order_relaxed));
-  return o.str();
+  out.raw("backends", backends);
 }
 
-std::string Router::adminz_payload(const serve::ServeRequest& request) {
+std::string Router::admin(const serve::ServeRequest& request) {
   const serve::AdminRequest& admin = request.admin;
-  metric_admin_actions_->add();
-  const auto applied = [&](const char* extra_key, std::uint64_t extra) {
-    JsonObject o;
-    o.field("type", "response");
-    if (!request.id.empty()) o.field("id", request.id);
-    o.field("status", "ok");
-    o.field("code", static_cast<std::int64_t>(kCodeOk));
-    o.field("action", to_string(admin.action));
-    o.field(extra_key, extra);
-    return o.str();
-  };
   switch (admin.action) {
-    case serve::AdminAction::kGetConfig:
-      return admin_config_payload(request.id);
     case serve::AdminAction::kEnableBackend:
     case serve::AdminAction::kDisableBackend: {
       const bool enable =
@@ -729,11 +574,7 @@ std::string Router::adminz_payload(const serve::ServeRequest& request) {
                              "no backend named \"" + admin.name +
                                  "\" in the fleet");
       }
-      JsonObject o;
-      o.field("type", "response");
-      if (!request.id.empty()) o.field("id", request.id);
-      o.field("status", "ok");
-      o.field("code", static_cast<std::int64_t>(kCodeOk));
+      JsonObject o = serve::response_envelope(request.id, "ok", kCodeOk);
       o.field("action", to_string(admin.action));
       o.field("backend", admin.name);
       o.field("enabled", enable);
@@ -749,33 +590,7 @@ std::string Router::adminz_payload(const serve::ServeRequest& request) {
       }
       const std::size_t backends = next.backends.size();
       reload_fleet(std::move(next));
-      return applied("backends", backends);
-    }
-    case serve::AdminAction::kCatalogReload: {
-      if (config_.catalog == nullptr) {
-        return error_payload(request.id, kCodeBadRequest, "error",
-                             "no scenario catalog configured; catalog-reload "
-                             "has no target");
-      }
-      std::shared_ptr<const ScenarioCatalog> next;
-      try {
-        next = std::make_shared<const ScenarioCatalog>(admin.catalog);
-      } catch (const std::invalid_argument& e) {
-        return error_payload(request.id, kCodeBadRequest, "error",
-                             std::string("catalog rejected: ") + e.what());
-      }
-      const std::size_t scenarios = next->size();
-      const std::uint64_t generation =
-          config_.catalog->swap(std::move(next));
-      JsonObject o;
-      o.field("type", "response");
-      if (!request.id.empty()) o.field("id", request.id);
-      o.field("status", "ok");
-      o.field("code", static_cast<std::int64_t>(kCodeOk));
-      o.field("action", "catalog-reload");
-      o.field("catalog_generation", generation);
-      o.field("catalog_size", static_cast<std::uint64_t>(scenarios));
-      return o.str();
+      return serve::admin_applied(request, "backends", backends);
     }
     case serve::AdminAction::kSetQueueDepth:
     case serve::AdminAction::kSetCacheEntries:
@@ -790,6 +605,9 @@ std::string Router::adminz_payload(const serve::ServeRequest& request) {
                            "eus_router holds no warm-start archive; send "
                            "archive-* verbs to the backend owning the "
                            "tenant (the ring's preference for its id)");
+    case serve::AdminAction::kGetConfig:
+    case serve::AdminAction::kCatalogReload:
+      break;  // the endpoint answers these
   }
   return error_payload(request.id, kCodeInternal, "error",
                        "unhandled admin action");
@@ -799,21 +617,8 @@ void Router::log_request(const serve::ServeRequest& request, int code,
                          double total_ms, const std::string& backend,
                          bool retried) {
   if (config_.log == nullptr) return;
-  JsonObject o;
-  o.field("type", "fleet_request");
-  o.field("t_s", uptime_.seconds());
-  if (!request.id.empty()) o.field("id", request.id);
-  std::string mode{to_string(request.mode)};
-  if (request.mode == serve::ModeKind::kHeuristic) {
-    mode += std::string(":") + serve::heuristic_slug(request.heuristic);
-  }
-  o.field("mode", mode);
-  o.field("kind", to_string(request.kind));
-  o.field("scenario", request.kind == serve::RequestKind::kDelta
-                          ? request.delta.base.name
-                          : request.scenario.name);
-  if (!request.tenant.empty()) o.field("tenant", request.tenant);
-  o.field("code", static_cast<std::int64_t>(code));
+  JsonObject o = serve::request_record("fleet_request", endpoint_.uptime_s(),
+                                       request, code);
   if (!backend.empty()) o.field("backend", backend);
   o.field("retried", retried);
   o.field("total_ms", total_ms);

@@ -25,7 +25,11 @@
 //
 // The router executes nothing itself, so there is no worker queue:
 // connection threads proxy inline, and backpressure is the per-backend
-// max_in_flight cap plus each backend's own bounded queue.
+// max_in_flight cap plus each backend's own bounded queue.  The front door
+// (listener, per-connection readers, framing, healthz/metricsz and the
+// shared admin verbs) is the same serve::Endpoint eus_served uses; the
+// Router is its handler and adds the fleet's fields, the fleet admin verbs
+// and the plan-plus-forward path.
 
 #include <atomic>
 #include <chrono>
@@ -92,7 +96,7 @@ struct BackendInfo {
   std::vector<std::string> capabilities;
 };
 
-class Router {
+class Router final : private serve::EndpointHandler {
  public:
   explicit Router(RouterConfig config);
   ~Router();  ///< stops if still running
@@ -106,7 +110,7 @@ class Router {
 
   /// The bound port (valid after start()).
   [[nodiscard]] std::uint16_t port() const noexcept {
-    return acceptor_.port();
+    return endpoint_.port();
   }
 
   /// Async-signal-friendly: flips the drain flag and unblocks the
@@ -118,7 +122,7 @@ class Router {
   void stop();
 
   [[nodiscard]] bool draining() const noexcept {
-    return draining_.load(std::memory_order_relaxed);
+    return endpoint_.draining();
   }
 
   // Live administration (the adminz verbs land here; also callable
@@ -173,16 +177,19 @@ class Router {
   [[nodiscard]] std::shared_ptr<Fleet> build_fleet(
       FleetConfig config, const Fleet* previous) const;
 
-  void connection_loop(serve::ConnectionSet::Connection* connection);
-  bool process_payload(serve::ConnectionSet::Connection* connection,
-                       const std::string& payload);
-  void send_payload(serve::ConnectionSet::Connection* connection,
-                    const std::string& payload);
+  // EndpointHandler: the fleet's healthz/get-config fields, the fleet
+  // admin verbs, and plan plus forward for allocate and delta.
+  void healthz_fields(JsonObject& out) const override;
+  void config_fields(JsonObject& out) const override;
+  [[nodiscard]] std::string admin(const serve::ServeRequest& request) override;
+  void serve(const serve::Reply& reply, serve::ServeRequest request,
+             const std::string& payload, const Stopwatch& total) override;
 
-  /// Schedules + proxies one allocate request; returns the response
-  /// payload to relay.
-  [[nodiscard]] std::string route_allocate(serve::ServeRequest request,
-                                           const std::string& payload);
+  /// Schedules + proxies one allocate or delta request; returns the
+  /// response payload to relay.
+  [[nodiscard]] std::string route(serve::ServeRequest request,
+                                  const std::string& payload,
+                                  const Stopwatch& total);
   /// Ordered candidate backends for one request (eligible, enabled, up,
   /// under their in-flight cap), best first.  `affinity` is the
   /// consistent-hash ring key: the request fingerprint, or the tenant id
@@ -200,11 +207,6 @@ class Router {
   bool probe_backend(Backend& backend);
   void prober_loop();
 
-  [[nodiscard]] std::string healthz_payload(const std::string& id) const;
-  [[nodiscard]] std::string metricsz_payload(const std::string& id) const;
-  [[nodiscard]] std::string adminz_payload(
-      const serve::ServeRequest& request);
-  [[nodiscard]] std::string admin_config_payload(const std::string& id) const;
   void append_backends_json(std::string& out) const;
   void log_request(const serve::ServeRequest& request, int code,
                    double total_ms, const std::string& backend,
@@ -217,20 +219,14 @@ class Router {
   mutable std::mutex fleet_mutex_;
   std::shared_ptr<const Fleet> fleet_;  ///< guarded by fleet_mutex_
 
-  serve::Acceptor acceptor_;
-  serve::ConnectionSet connections_;
-
   std::thread prober_;
   std::mutex prober_mutex_;
   std::condition_variable prober_cv_;
   bool prober_stop_ = false;  ///< guarded by prober_mutex_
 
-  Stopwatch uptime_;
   std::atomic<bool> started_{false};
-  std::atomic<bool> draining_{false};
   std::atomic<std::uint64_t> rr_ticket_{0};
 
-  Counter* metric_requests_ = nullptr;
   Counter* metric_responses_ok_ = nullptr;
   Counter* metric_errors_ = nullptr;
   Counter* metric_retries_ = nullptr;
@@ -239,10 +235,11 @@ class Router {
   Counter* metric_backend_down_ = nullptr;
   Counter* metric_backend_up_ = nullptr;
   Counter* metric_probes_ = nullptr;
-  Counter* metric_admin_actions_ = nullptr;
   Counter* metric_fleet_reloads_ = nullptr;
   Gauge* metric_backends_up_ = nullptr;
   Histogram* metric_latency_ = nullptr;
+
+  serve::Endpoint endpoint_;  ///< last: its readers use everything above
 };
 
 }  // namespace eus::fleet

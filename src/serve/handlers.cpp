@@ -182,13 +182,19 @@ std::optional<EUPoint> select_point(const ParetoQuery& query,
 
 }  // namespace
 
-std::string error_payload(std::string_view id, int code,
-                          std::string_view status, std::string_view message) {
+JsonObject response_envelope(std::string_view id, std::string_view status,
+                             int code) {
   JsonObject o;
   o.field("type", "response");
   if (!id.empty()) o.field("id", id);
   o.field("status", status);
   o.field("code", static_cast<std::int64_t>(code));
+  return o;
+}
+
+std::string error_payload(std::string_view id, int code,
+                          std::string_view status, std::string_view message) {
+  JsonObject o = response_envelope(id, status, code);
   o.field("error", message);
   return o.str();
 }
@@ -304,16 +310,9 @@ HandleResult render_allocate(const ServeRequest& request,
   }
 
   const int code = provenance.partial ? kCodePartial : kCodeOk;
-  JsonObject o;
-  o.field("type", "response");
-  if (!request.id.empty()) o.field("id", request.id);
-  o.field("status", provenance.partial ? "partial" : "ok");
-  o.field("code", static_cast<std::int64_t>(code));
-  std::string mode{to_string(request.mode)};
-  if (request.mode == ModeKind::kHeuristic) {
-    mode += std::string(":") + heuristic_slug(request.heuristic);
-  }
-  o.field("mode", mode);
+  JsonObject o = response_envelope(
+      request.id, provenance.partial ? "partial" : "ok", code);
+  o.field("mode", mode_label(request));
   o.field("scenario", request.scenario.name);
   if (!request.tenant.empty()) {
     o.field("tenant", request.tenant);
@@ -486,11 +485,8 @@ HandleResult handle_delta(const ServeRequest& request,
     }
 
     const int code = partial ? kCodePartial : kCodeOk;
-    JsonObject o;
-    o.field("type", "response");
-    if (!request.id.empty()) o.field("id", request.id);
-    o.field("status", partial ? "partial" : "ok");
-    o.field("code", static_cast<std::int64_t>(code));
+    JsonObject o =
+        response_envelope(request.id, partial ? "partial" : "ok", code);
     o.field("mode", "nsga2");
     o.field("scenario", mutated.name);
     o.field("tenant", request.tenant);

@@ -33,6 +33,7 @@
 
 #include "serve/front_cache.hpp"
 #include "serve/protocol.hpp"
+#include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
 #include "tenant/archive_store.hpp"
 #include "util/thread_pool.hpp"
@@ -63,8 +64,13 @@ struct HandleResult {
   bool cache_hit = false;  ///< answered from the front cache
 };
 
-/// Builds the canonical error/overload payload (also used by the server for
-/// framing errors and queue backpressure, where no handler ever runs).
+/// Starts a response document with the envelope every answer carries:
+/// "type":"response", the id (when non-empty), status and code.
+[[nodiscard]] JsonObject response_envelope(std::string_view id,
+                                           std::string_view status, int code);
+
+/// Builds the canonical error/overload payload (also used by the daemons
+/// for framing errors and backpressure, where no handler ever runs).
 [[nodiscard]] std::string error_payload(std::string_view id, int code,
                                         std::string_view status,
                                         std::string_view message);

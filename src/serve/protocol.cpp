@@ -16,6 +16,7 @@ namespace eus::serve {
 namespace {
 
 using util::JsonValue;
+using util::to_size;
 
 [[noreturn]] void fail(const std::string& reason) {
   throw ProtocolError(reason);
@@ -26,18 +27,6 @@ double require_positive(double v, const char* what) {
     fail(std::string(what) + " must be a positive finite number");
   }
   return v;
-}
-
-/// The one conversion from a JSON number to a count or index: an integer
-/// in [min, 2^53], else nullopt.  Above 2^53 doubles no longer hold every
-/// integer, and from 2^64 on the cast to std::size_t is undefined.
-std::optional<std::size_t> to_size(const JsonValue* v, double min) {
-  constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
-  if (v == nullptr || !v->is_number() || !(v->number >= min) ||
-      v->number > kMaxExactInteger || v->number != std::floor(v->number)) {
-    return std::nullopt;
-  }
-  return static_cast<std::size_t>(v->number);
 }
 
 /// A seed: any integer in [0, 2^64).  Unlike counts, seeds above 2^53 are
@@ -469,6 +458,14 @@ const char* heuristic_slug(SeedHeuristic h) noexcept {
   return "?";
 }
 
+std::string mode_label(const ServeRequest& request) {
+  std::string mode{to_string(request.mode)};
+  if (request.mode == ModeKind::kHeuristic) {
+    mode += std::string(":") + heuristic_slug(request.heuristic);
+  }
+  return mode;
+}
+
 std::optional<SeedHeuristic> heuristic_from_slug(
     std::string_view slug) noexcept {
   for (const SeedHeuristic h : all_seed_heuristics()) {
@@ -599,6 +596,18 @@ ScenarioSpec resolve_scenario(const ScenarioSpec& spec,
   return resolved;
 }
 
+bool resolve_request_scenario(ServeRequest& request,
+                              const SharedCatalog* catalog) {
+  ScenarioSpec& spec = request.kind == RequestKind::kDelta
+                           ? request.delta.base
+                           : request.scenario;
+  if (ScenarioCatalog::is_builtin_name(spec.name)) return false;
+  std::shared_ptr<const ScenarioCatalog> snapshot;
+  if (catalog != nullptr) snapshot = catalog->snapshot();
+  spec = resolve_scenario(spec, snapshot.get());
+  return true;
+}
+
 ScenarioSpec apply_mutations(const ScenarioSpec& base,
                              const std::vector<ScenarioMutation>& mutations) {
   ScenarioSpec spec = base;
@@ -689,11 +698,7 @@ std::string render_allocate_request(const ServeRequest& request) {
   o.field("type", "allocate");
   if (!request.id.empty()) o.field("id", request.id);
   if (!request.tenant.empty()) o.field("tenant", request.tenant);
-  std::string mode{to_string(request.mode)};
-  if (request.mode == ModeKind::kHeuristic) {
-    mode += std::string(":") + heuristic_slug(request.heuristic);
-  }
-  o.field("mode", mode);
+  o.field("mode", mode_label(request));
   o.raw("scenario", render_scenario_object(request.scenario).str());
   if (request.mode != ModeKind::kHeuristic) {
     o.raw("nsga2", render_nsga2_object(request.nsga2).str());
@@ -828,7 +833,7 @@ std::string request_fingerprint(const ServeRequest& request) {
   }
   key << "|mode=";
   if (request.mode == ModeKind::kHeuristic) {
-    key << "heuristic:" << heuristic_slug(request.heuristic);
+    key << mode_label(request);
   } else {
     // pareto-query shares the nsga2 fingerprint on purpose: it reads the
     // front an nsga2 request with the same budget would compute.

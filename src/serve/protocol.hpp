@@ -203,6 +203,13 @@ struct ServeRequest {
 [[nodiscard]] ScenarioSpec resolve_scenario(const ScenarioSpec& spec,
                                             const ScenarioCatalog* catalog);
 
+/// Resolves the scenario an allocate or delta request names (a delta's
+/// base) against `catalog`'s current snapshot, in place, and returns
+/// whether the name was a catalog alias.  Throws ProtocolError like
+/// resolve_scenario; `catalog` may be null.
+bool resolve_request_scenario(ServeRequest& request,
+                              const SharedCatalog* catalog);
+
 /// Canonical identity of a *scenario* alone, independent of optimization
 /// budget: the warm-start archive key.  A resolved allocate request's
 /// scenario and the same scenario reached through a delta lineage
@@ -244,6 +251,10 @@ struct ServeRequest {
 /// (resolved-base) delta back into a document parse_request accepts.  The
 /// router uses it to forward a delta whose base was a catalog alias.
 [[nodiscard]] std::string render_delta_request(const ServeRequest& request);
+
+/// The request's mode as the wire spells it: "nsga2", "pareto-query" or
+/// "heuristic:<name>".
+[[nodiscard]] std::string mode_label(const ServeRequest& request);
 
 /// Heuristic name <-> enum for the "heuristic:<name>" mode string.
 [[nodiscard]] const char* heuristic_slug(SeedHeuristic h) noexcept;

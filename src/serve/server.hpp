@@ -1,13 +1,14 @@
 #pragma once
 
 // eus_served's engine, decomposed into the components the runtime halts in
-// order (docs/runtime.md): an Acceptor (listen socket + accept thread), a
-// ConnectionSet (per-connection reader threads), a bounded request queue
-// with explicit backpressure, and a WorkerCrew (elastic worker pool that
-// executes allocate requests through handlers.cpp — NSGA-II evaluation
-// batches fan out onto one shared ThreadPool, so concurrent requests share
-// the machine instead of oversubscribing it).  The Server class is the
-// facade wiring them together; ServeRuntime (runtime.hpp) owns the
+// order (docs/runtime.md): an Endpoint (net.hpp: listen socket, accept
+// thread, per-connection reader threads and the verbs every daemon
+// answers), a bounded request queue with explicit backpressure, and a
+// WorkerCrew (elastic worker pool that executes allocate requests through
+// handlers.cpp — NSGA-II evaluation batches fan out onto one shared
+// ThreadPool, so concurrent requests share the machine instead of
+// oversubscribing it).  The Server class is the facade wiring them
+// together and the Endpoint's handler; ServeRuntime (runtime.hpp) owns the
 // process-level lifecycle around it.
 //
 // Flow control: a connection reads one frame and parses it.  Only
@@ -61,9 +62,6 @@
 namespace eus::serve {
 
 class RuntimeState;  // runtime.hpp — healthz/adminz report its phase
-
-// RequestLog, Acceptor and ConnectionSet moved to serve/net.hpp — they are
-// shared with the fleet router (fleet/router.hpp).
 
 /// One queued computation (an allocate cache miss or a delta), or a
 /// WorkerCrew control token.
@@ -158,7 +156,7 @@ struct ServerConfig {
   tenant::ArchiveStore* archive = nullptr;
 };
 
-class Server {
+class Server final : private EndpointHandler {
  public:
   explicit Server(ServerConfig config = {});
   ~Server();  ///< stops and drains if still running
@@ -172,7 +170,7 @@ class Server {
 
   /// The bound port (valid after start(); resolves port 0 requests).
   [[nodiscard]] std::uint16_t port() const noexcept {
-    return acceptor_.port();
+    return endpoint_.port();
   }
 
   /// Async-signal-friendly shutdown request: flips the drain flag and
@@ -195,7 +193,7 @@ class Server {
   /// True once request_stop()/stop()/halt_acceptor()/halt_queue() has
   /// begun.
   [[nodiscard]] bool draining() const noexcept {
-    return draining_.load(std::memory_order_relaxed);
+    return endpoint_.draining();
   }
 
   // Live admin knobs (the adminz verbs land here; also callable directly,
@@ -219,25 +217,21 @@ class Server {
   }
 
  private:
-  using Connection = ConnectionSet::Connection;
+  // EndpointHandler: the daemon's own healthz/get-config fields, its admin
+  // verbs, and the allocate/delta path (inline cache hit or the queue).
+  void healthz_fields(JsonObject& out) const override;
+  void config_fields(JsonObject& out) const override;
+  [[nodiscard]] std::string admin(const ServeRequest& request) override;
+  void serve(const Reply& reply, ServeRequest request,
+             const std::string& payload, const Stopwatch& total) override;
 
-  void on_accept(int fd);
   void execute_job(RequestJob& job);
-  void connection_loop(Connection* connection);
-  /// Parses and dispatches one frame; returns false when the connection
-  /// should close (fatal framing error).
-  bool process_payload(Connection* connection, const std::string& payload);
-  void send_payload(Connection* connection, const std::string& payload);
   /// Sends a handler's result and records it (counters, latency, log).
-  void answer(Connection* connection, const ServeRequest& request,
+  void answer(const Reply& reply, const ServeRequest& request,
               const HandleResult& result, const Stopwatch& total);
   /// Sends the 503 for a request the queue would not take.
-  void refuse(Connection* connection, const ServeRequest& request,
+  void refuse(const Reply& reply, const ServeRequest& request,
               const Stopwatch& total);
-  [[nodiscard]] std::string healthz_payload(const std::string& id) const;
-  [[nodiscard]] std::string metricsz_payload(const std::string& id) const;
-  [[nodiscard]] std::string adminz_payload(const ServeRequest& request);
-  [[nodiscard]] std::string admin_config_payload(const std::string& id) const;
   void log_request(const ServeRequest& request, int code, double total_ms,
                    bool dropped, bool cache_hit);
 
@@ -250,25 +244,18 @@ class Server {
 
   std::unique_ptr<BoundedQueue<RequestJob>> queue_;
   std::unique_ptr<WorkerCrew> crew_;
-  Acceptor acceptor_;
-  ConnectionSet connections_;
 
-  Stopwatch uptime_;
   std::atomic<bool> started_{false};
-  std::atomic<bool> draining_{false};
   std::atomic<bool> acceptor_halted_{false};
   std::atomic<bool> queue_halted_{false};
   std::atomic<bool> workers_halted_{false};
   std::atomic<std::size_t> in_flight_{0};
 
   // Metric handles, resolved once at start().
-  Counter* metric_connections_ = nullptr;
-  Counter* metric_requests_ = nullptr;
   Counter* metric_responses_ok_ = nullptr;
   Counter* metric_errors_ = nullptr;
   Counter* metric_dropped_ = nullptr;
   Counter* metric_deadline_expired_ = nullptr;
-  Counter* metric_admin_actions_ = nullptr;
   Counter* metric_halt_acceptor_ = nullptr;
   Counter* metric_halt_queue_ = nullptr;
   Counter* metric_halt_workers_ = nullptr;
@@ -278,6 +265,8 @@ class Server {
   TimerMetric* metric_service_ = nullptr;
   TimerMetric* metric_queue_wait_ = nullptr;
   Histogram* metric_latency_ = nullptr;
+
+  Endpoint endpoint_;  ///< last: its readers use everything above
 };
 
 }  // namespace eus::serve

@@ -1,6 +1,7 @@
 #include "util/json_value.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -244,6 +245,15 @@ std::string JsonValue::string_or(std::string_view key,
   const JsonValue* v = get(key);
   return (v != nullptr && v->is_string()) ? v->string
                                           : std::string(fallback);
+}
+
+std::optional<std::size_t> to_size(const JsonValue* v, double min) {
+  constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
+  if (v == nullptr || !v->is_number() || !(v->number >= min) ||
+      v->number > kMaxExactInteger || v->number != std::floor(v->number)) {
+    return std::nullopt;
+  }
+  return static_cast<std::size_t>(v->number);
 }
 
 JsonValue parse_json(std::string_view text) {

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -59,6 +60,14 @@ class JsonValue {
   [[nodiscard]] std::string string_or(std::string_view key,
                                       std::string_view fallback) const;
 };
+
+/// The one conversion from a JSON number to a count or index: an integer
+/// in [min, 2^53], else nullopt (also for nullptr and non-numbers).  Above
+/// 2^53 doubles no longer hold every integer, and from 2^64 on — infinity,
+/// which an out-of-range literal such as 1e400 parses to, included — the
+/// cast to std::size_t is undefined.
+[[nodiscard]] std::optional<std::size_t> to_size(const JsonValue* v,
+                                                 double min);
 
 /// Parses one JSON document (trailing whitespace allowed, trailing content
 /// rejected).  Throws JsonParseError on malformed input.

@@ -126,6 +126,23 @@ TEST(FleetConfig, RejectsBadFactorsAndCaps) {
       "enabled");
 }
 
+TEST(FleetConfig, RejectsMaxInFlightAboveTwoToThe53) {
+  const auto backend = [](const std::string& max_in_flight) {
+    return R"({"backends":[{"name":"a","port":7471,"max_in_flight":)" +
+           max_in_flight + "}]}";
+  };
+  // 1e400 parses to infinity and 1e20 lies above 2^64: both used to reach
+  // an undefined cast to std::size_t.  2^53 + 2 is exactly representable
+  // but past the range where every integer is.
+  for (const char* value : {"1e400", "1e20", "9007199254740994"}) {
+    SCOPED_TRACE(value);
+    expect_rejected(backend(value), "max_in_flight must be an integer >= 1");
+  }
+  const FleetConfig fleet = parse(backend("9007199254740992"));
+  ASSERT_EQ(fleet.backends.size(), 1U);
+  EXPECT_EQ(fleet.backends[0].max_in_flight, 9007199254740992U);
+}
+
 TEST(FleetConfig, RejectsInvalidJson) {
   EXPECT_THROW((void)parse_fleet_config_text("{nope"), FleetConfigError);
 }
