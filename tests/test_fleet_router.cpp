@@ -68,7 +68,8 @@ class FleetHarness {
       auto server = std::make_unique<Server>(ServerConfig{});
       server->start();
       BackendConfig config;
-      config.name = "b" + std::to_string(b + 1);
+      config.name = "b";
+      config.name += std::to_string(b + 1);
       config.port = server->port();
       fleet.backends.push_back(config);
       servers.push_back(std::move(server));
