@@ -10,16 +10,18 @@
 //      nondominated-sorted; whole ranks fill the next parent population and
 //      the cut rank is truncated by crowding distance (elitism for free).
 //
-// Population evaluation is embarrassingly parallel and optionally runs on a
-// thread pool.  Everything is deterministic for a fixed seed and thread
-// count (offspring are generated serially; only fitness evaluation — a
-// pure function — is parallel).
+// A generation is plan → pair tasks → selection.  The plan takes every
+// random draw of the generation serially (parent picks, crossover segments,
+// mutations); the N/2 offspring pairs are then built from those draws and
+// evaluated as independent tasks, optionally on a thread pool.  Fronts are
+// bit-identical for a fixed seed at any thread count.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
 
+#include "core/operators.hpp"
 #include "core/problem.hpp"
 #include "sched/allocation.hpp"
 #include "sched/eval_state.hpp"
@@ -53,8 +55,9 @@ struct Nsga2Config {
   /// Disable the crowding-distance truncation (ablation): the cut rank is
   /// then truncated in ascending-energy order instead.
   bool use_crowding = true;
-  /// Worker threads for fitness evaluation; 0 = hardware concurrency,
-  /// 1 = evaluate inline (no pool).  Ignored when `shared_pool` is set.
+  /// Worker threads for building and evaluating offspring pairs; 0 =
+  /// hardware concurrency, 1 = inline (no pool).  Ignored when
+  /// `shared_pool` is set.
   std::size_t threads = 1;
   /// Externally owned pool shared across algorithm instances (e.g. the
   /// StudyEngine's, which also runs whole populations on it — the pool's
@@ -157,30 +160,46 @@ class Nsga2 {
     std::vector<std::uint32_t> touched;
   };
 
-  /// Evaluates individuals[begin..] in parallel.  With `trusted_genomes`
-  /// the genomes are known structurally valid (operator-built, or user
-  /// seeds validated up front in initialize()), so hint-less evaluations
-  /// skip the per-gene validation pass.
-  void evaluate_all(std::vector<Individual>& individuals, std::size_t begin,
-                    const std::vector<OffspringHint>* hints,
-                    bool trusted_genomes = false);
+  /// The draws of one offspring pair: the parents' population indices,
+  /// the crossover segment and each child's mutation (not drawn == none).
+  struct PairPlan {
+    std::size_t first = 0;
+    std::size_t second = 0;
+    CrossoverSegment segment;
+    MutationDraw mutation_a;
+    MutationDraw mutation_b;
+  };
+
+  /// Runs fn(k) for k in [0, count): on the pool, or inline without one.
+  void for_each_index(std::size_t count,
+                      const std::function<void(std::size_t)>& fn);
+  void count_evaluations(std::size_t count);
   /// Evaluates individuals[idx] in place (clone → delta → full, whichever
-  /// applies; see the definition).  The unit evaluate_all() fans
-  /// out, and the one inline_evaluation() calls per fresh genome.
+  /// applies; see the definition).  `trusted_genome` marks a hint-less
+  /// genome as structurally valid (user seeds validated up front in
+  /// initialize(), or operator-built), skipping per-gene validation.
   void evaluate_individual(std::vector<Individual>& individuals,
                            std::size_t idx, const OffspringHint* hint,
                            bool trusted_genome);
-  /// Whether evaluation runs serially anyway (no pool, or a single-worker
-  /// pool) — in which case each fresh genome is evaluated right after the
-  /// operators build it, while it is still cache-hot.
-  [[nodiscard]] bool inline_evaluation() const noexcept;
+  /// Takes every random draw of one generation into plan_, in the order
+  /// building the pairs one after another would.
+  void plan_pairs();
+  /// Builds offspring pair `pair` into meta[N + 2 * pair] and the slot
+  /// after it from plan_, fills their delta hints and evaluates both.
+  /// Pairs touch disjoint slots and hints, so they may run concurrently.
+  void build_pair(std::vector<Individual>& meta, std::size_t pair);
+  /// Ranks and crowds `meta`, keeps the best N in it and moves the rest
+  /// into spare_.
   void annotate_and_select(std::vector<Individual>& meta);
 
   const BiObjectiveProblem* problem_;
   Nsga2Config config_;
   Rng rng_;
   std::unique_ptr<ThreadPool> owned_pool_;  ///< null when shared or serial
-  ThreadPool* eval_pool_ = nullptr;         ///< null when evaluating inline
+  ThreadPool* pool_ = nullptr;              ///< null when running inline
+  /// Whether offspring carry delta-evaluation hints (the problem has an
+  /// incremental evaluator and order repair is off).
+  bool track_deltas_ = false;
   /// Metric handles, resolved once at construction (null when disabled).
   Counter* metric_evaluations_ = nullptr;
   Counter* metric_generations_ = nullptr;
@@ -189,7 +208,11 @@ class Nsga2 {
   TimerMetric* timer_evaluation_ = nullptr;
   TimerMetric* timer_selection_ = nullptr;
   std::vector<Individual> population_;
-  /// Per-generation offspring lineage, reused to avoid reallocation.
+  /// Individuals the last selection dropped; the next generation's
+  /// offspring take over their genome storage.
+  std::vector<Individual> spare_;
+  /// Per-generation draws and offspring lineage, reused across generations.
+  std::vector<PairPlan> plan_;
   std::vector<OffspringHint> hints_;
   GenerationObserver observer_;
   std::size_t generation_ = 0;
