@@ -34,27 +34,35 @@ StudyResult StudyEngine::run(const BiObjectiveProblem& problem,
   result.checkpoints = checkpoints;
   result.fronts.resize(specs.size());
 
-  // Seeds are built up front, serially: deterministic, and the greedy
-  // constructions are pure reads of the shared problem — so each heuristic
-  // is built once and copied into every spec that lists it (the combined
-  // spec repeats every single-heuristic spec's seed).
-  std::map<SeedHeuristic, Allocation> seed_memo;
-  std::vector<std::vector<Allocation>> seeds(specs.size());
-  for (std::size_t p = 0; p < specs.size(); ++p) {
-    result.population_names.push_back(specs[p].name);
-    result.markers.push_back(specs[p].marker);
-    seeds[p].reserve(specs[p].seeds.size());
-    for (const SeedHeuristic h : specs[p].seeds) {
-      auto it = seed_memo.find(h);
-      if (it == seed_memo.end()) {
-        it = seed_memo
-                 .emplace(h,
-                          make_seed(h, problem.system(), problem.trace()))
-                 .first;
-      }
-      seeds[p].push_back(it->second);
-    }
+  // Each heuristic's seed is built once, by the first population task that
+  // needs it, and copied into every spec that lists it (the combined spec
+  // repeats every single-heuristic spec's seed).  Building inside the
+  // population tasks lets unseeded and cheaply seeded populations start
+  // evolving while the slow greedy constructions (min-min) still run.  The
+  // constructions are pure reads of the shared problem, so every population
+  // sees the same seeds whichever task built them.
+  struct SeedSlot {
+    std::once_flag once;
+    Allocation genome;
+  };
+  std::map<SeedHeuristic, SeedSlot> seed_memo;
+  for (const PopulationSpec& spec : specs) {
+    result.population_names.push_back(spec.name);
+    result.markers.push_back(spec.marker);
+    for (const SeedHeuristic h : spec.seeds) seed_memo.try_emplace(h);
   }
+  const auto seeds_of = [&](const PopulationSpec& spec) {
+    std::vector<Allocation> seeds;
+    seeds.reserve(spec.seeds.size());
+    for (const SeedHeuristic h : spec.seeds) {
+      SeedSlot& slot = seed_memo.at(h);
+      std::call_once(slot.once, [&] {
+        slot.genome = make_seed(h, problem.system(), problem.trace());
+      });
+      seeds.push_back(slot.genome);
+    }
+    return seeds;
+  };
 
   if (config_.recorder != nullptr) {
     RunInfo info;
@@ -76,13 +84,13 @@ StudyResult StudyEngine::run(const BiObjectiveProblem& problem,
     config.seed =
         base_config.seed + kPopulationSeedStride * (p + 1);  // own stream
     if (pool_) {
-      // Nested parallelism: evaluation batches share the engine's pool.
+      // Nested parallelism: offspring pairs share the engine's pool.
       config.shared_pool = pool_.get();
     }
     if (config_.metrics != nullptr) config.metrics = config_.metrics;
 
     Nsga2 algorithm(problem, config);
-    algorithm.initialize(seeds[p]);
+    algorithm.initialize(seeds_of(specs[p]));
 
     std::vector<std::vector<EUPoint>>& fronts = result.fronts[p];
     fronts.reserve(checkpoints.size());

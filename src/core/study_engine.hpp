@@ -2,9 +2,10 @@
 
 // The study executor behind every figure bench: evolves all populations of
 // a seeding study *concurrently* on one shared ThreadPool.  Populations are
-// top-level pool tasks; each population's per-generation fitness-evaluation
-// batch fans out as nested tasks on the same pool (parallel_for's
-// work-helping makes the nesting deadlock-free).
+// top-level pool tasks.  Each builds its own greedy seeds (every heuristic
+// once across the study, by whichever population needs it first), then
+// fans each generation's offspring pairs out as nested tasks on the same
+// pool (parallel_for's work-helping makes the nesting deadlock-free).
 //
 // Scheduling refactor only: every population owns an independent RNG stream
 // (seed perturbed per population, exactly as the serial harness always did)

@@ -108,6 +108,33 @@ TEST(StudyEngine, SharedPoolNsga2MatchesSerialNsga2) {
   EXPECT_EQ(a.front_points(), b.front_points());
 }
 
+// Seeds are built inside the population tasks, each heuristic once and
+// shared by every spec listing it (the all-four-seeds spec repeats the
+// four single-seed specs' seeds).  Every population must still evolve
+// exactly as a direct Nsga2 run seeded with freshly built seeds.
+TEST(StudyEngine, SeedsBuiltInPopulationTasksMatchDirectRuns) {
+  const Fixture fx;
+  const auto specs = extended_population_specs();
+  StudyEngineConfig config;
+  config.threads = 4;
+  StudyEngine engine(config);
+  const StudyResult result = engine.run(fx.problem, tiny_config(), {6}, specs);
+
+  for (std::size_t p = 0; p < specs.size(); ++p) {
+    SCOPED_TRACE(specs[p].name);
+    Nsga2Config direct = tiny_config();
+    direct.seed = tiny_config().seed + kPopulationSeedStride * (p + 1);
+    std::vector<Allocation> seeds;
+    for (const SeedHeuristic h : specs[p].seeds) {
+      seeds.push_back(make_seed(h, fx.system, fx.trace));
+    }
+    Nsga2 ga(fx.problem, direct);
+    ga.initialize(seeds);
+    ga.iterate(6);
+    EXPECT_EQ(result.final_front(p), ga.front_points());
+  }
+}
+
 TEST(StudyEngine, ResolvedThreadCount) {
   StudyEngine serial;
   EXPECT_EQ(serial.threads(), 1U);
