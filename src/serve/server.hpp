@@ -5,7 +5,7 @@
 // thread, per-connection reader threads and the verbs every daemon
 // answers), a bounded request queue with explicit backpressure, and a
 // WorkerCrew (elastic worker pool that executes allocate requests through
-// handlers.cpp — NSGA-II evaluation batches fan out onto one shared
+// handlers.cpp — NSGA-II offspring-pair tasks fan out onto one shared
 // ThreadPool, so concurrent requests share the machine instead of
 // oversubscribing it).  The Server class is the facade wiring them
 // together and the Endpoint's handler; ServeRuntime (runtime.hpp) owns the

@@ -6,7 +6,7 @@
 // has been processed so generation barriers stay implicit.
 //
 // parallel_for may be called from *inside* a pool task (nested parallelism:
-// a population task fanning out its fitness-evaluation batch).  While a
+// a population task fanning out its offspring-pair tasks).  While a
 // caller waits for its own range to finish it helps drain the shared queue,
 // so nesting can never deadlock even when every worker is busy.
 

@@ -344,9 +344,9 @@ TEST(EvaluatorDifferential, TelemetryCountsHitsAndFallbacks) {
 }
 
 TEST(EvaluatorDifferential, FrontsInvariantAcrossExecutionModes) {
-  // The same seed must yield bit-identical fronts whether evaluation is
-  // interleaved (serial), pooled, or delta-evaluated: the evaluator is a
-  // pure function and none of these paths may perturb it.
+  // The same seed must yield bit-identical fronts whether offspring pairs
+  // run serially or pooled, with or without the delta path: the evaluator
+  // is a pure function and none of these paths may perturb it.
   const Scenario scenario = make_dataset1(19);
 
   const auto front_for = [&](bool incremental, std::size_t threads) {

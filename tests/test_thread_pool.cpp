@@ -99,8 +99,8 @@ TEST(ThreadPool, MoreBlocksThanItems) {
 
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
   // The StudyEngine pattern: population tasks at the top level, each
-  // fanning its evaluation batch onto the *same* pool.  With fewer workers
-  // than outer tasks, completion requires the work-helping wait.
+  // fanning its offspring-pair tasks onto the *same* pool.  With fewer
+  // workers than outer tasks, completion requires the work-helping wait.
   ThreadPool pool(2);
   std::atomic<int> counter{0};
   pool.parallel_for(6, [&](std::size_t) {
