@@ -225,6 +225,23 @@ TEST(Nsga2Pinned, DvfsWithPstatelessSeed) {
   expect_pinned(dvfs, pinned_config(0.5), {seed}, 12, front);
 }
 
+TEST(Nsga2Pinned, MakespanEnergy) {
+  // The predecessor problem reads makespan as utility = -makespan.
+  const PinnedFixture fx;
+  const MakespanEnergyProblem makespan(fx.system, fx.trace);
+  const std::vector<PinnedMember> front = {
+      {476010, -1453.6676230970415, 0x0c05125e96e5bcd7ULL},
+      {476196, -1274.7991693402162, 0x6aefa2b1b4a74479ULL},
+      {479882, -1193.6669841093671, 0xc6288bf4a1bd9a12ULL},
+      {482268, -1172.934511930976, 0xffcc9ffadd26cbfcULL},
+      {487854, -1146.934511930976, 0x2262d6c97ca1d373ULL},
+      {495176, -1124.6669841093671, 0x7a1c0b7becd6c1b2ULL},
+      {517026, -1090.2044155490698, 0x6eee1abd8377c04cULL},
+      {531400, -1062.7954355700001, 0x0df34fd1dd218436ULL},
+  };
+  expect_pinned(makespan, pinned_config(0.3), {}, 12, front);
+}
+
 TEST(Nsga2Pinned, PopulationOfTwo) {
   // With two members the second parent pick repeats the first half the
   // time, exercising the re-pick loop.
