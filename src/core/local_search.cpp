@@ -23,18 +23,14 @@ LocalSearchResult local_search(const BiObjectiveProblem& problem,
   if (options.lambda < 0.0 || options.lambda > 1.0) {
     throw std::invalid_argument("lambda must lie in [0, 1]");
   }
-  if (start.size() != problem.genome_size()) {
-    throw std::invalid_argument("start allocation size mismatch");
-  }
   const std::size_t tasks = start.size();
   const SystemModel& system = problem.system();
   const Trace& trace = problem.trace();
 
   // Single-gene moves are the delta-evaluator's best case: only the one or
-  // two machines a move touches get re-simulated.  Fronts stay
-  // bit-identical with the seam disabled (see docs/evaluator.md).
-  const Evaluator* ev = problem.incremental_evaluator();
-  const bool use_delta = ev != nullptr && ev->incremental_on();
+  // two machines a move touches get re-simulated, with objectives
+  // bit-identical to a full pass (see docs/evaluator.md).
+  const Evaluator& ev = problem.evaluator();
   EvalState state;
   EvalState candidate_state;
   std::vector<std::uint32_t> touched;
@@ -42,8 +38,7 @@ LocalSearchResult local_search(const BiObjectiveProblem& problem,
   LocalSearchResult result;
   result.allocation = std::move(start);
   result.objectives =
-      use_delta ? problem.objectives_of(ev->evaluate(result.allocation, state))
-                : problem.evaluate(result.allocation);
+      problem.objectives_of(ev.evaluate(result.allocation, state));
   result.evaluations = 1;
   if (tasks == 0) return result;
 
@@ -80,11 +75,9 @@ LocalSearchResult local_search(const BiObjectiveProblem& problem,
       touched.push_back(static_cast<std::uint32_t>(p));
     }
 
-    const EUPoint objectives =
-        use_delta ? problem.objectives_of(ev->evaluate_incremental(
-                        candidate, result.allocation, state, touched,
-                        candidate_state, /*trusted_child=*/true))
-                  : problem.evaluate(candidate);
+    const EUPoint objectives = problem.objectives_of(
+        ev.evaluate_incremental(candidate, result.allocation, state, touched,
+                                candidate_state, /*trusted_child=*/true));
     ++result.evaluations;
     const double candidate_score =
         score(objectives, options.lambda, u_scale, e_scale);

@@ -35,9 +35,6 @@ Nsga2::Nsga2(const BiObjectiveProblem& problem, Nsga2Config config)
     owned_pool_ = std::make_unique<ThreadPool>(config_.threads);
     pool_ = owned_pool_.get();
   }
-  const Evaluator* ev = problem.incremental_evaluator();
-  track_deltas_ = ev != nullptr && ev->incremental_on() &&
-                  !config_.repair_order_permutation;
   if (config_.metrics != nullptr) {
     MetricsRegistry& m = *config_.metrics;
     metric_evaluations_ = &m.counter("nsga2.evaluations");
@@ -52,34 +49,28 @@ Nsga2::Nsga2(const BiObjectiveProblem& problem, Nsga2Config config)
 Nsga2::~Nsga2() = default;
 
 void Nsga2::evaluate_individual(std::vector<Individual>& individuals,
-                                std::size_t idx, const OffspringHint* hint,
-                                bool trusted_genome) {
+                                std::size_t idx, const Lineage* lineage) {
   Individual& ind = individuals[idx];
-  const Evaluator* ev = problem_->incremental_evaluator();
-  if (ev == nullptr || !ev->incremental_on()) {
-    ind.objectives = problem_->evaluate(ind.genome);
+  const Evaluator& ev = problem_->evaluator();
+  // Cheapest applicable path: clone of the base (reuse its objectives and
+  // partials) > delta re-simulation of the dirty machines > full
+  // simulation.  All three produce bit-identical objectives.  Every genome
+  // here is structurally valid (validated seeds, random fills, or operator
+  // children of valid parents), so no path re-validates it.
+  if (lineage == nullptr) {
+    ind.objectives =
+        problem_->objectives_of(ev.evaluate_trusted(ind.genome, ind.state));
     return;
   }
-  // Cheapest applicable path: clone of the parent (reuse its objectives
-  // and partials) > delta re-simulation of the dirty machines > full
-  // simulation.  All three produce bit-identical objectives.
-  if (hint != nullptr && !hint->full) {
-    const Individual& parent = individuals[hint->parent];
-    if (hint->touched.empty()) {
-      ind.state = parent.state;
-      ind.objectives = parent.objectives;
-      return;
-    }
-    // Operator-built child of a validated parent: structurally valid, so
-    // the evaluator may skip per-gene validation.
-    ind.objectives = problem_->objectives_of(ev->evaluate_incremental(
-        ind.genome, parent.genome, parent.state, hint->touched, ind.state,
-        /*trusted_child=*/true));
+  const Individual& base = individuals[lineage->base];
+  if (lineage->touched.empty()) {
+    ind.state = base.state;
+    ind.objectives = base.objectives;
     return;
   }
-  ind.objectives = problem_->objectives_of(
-      trusted_genome ? ev->evaluate_trusted(ind.genome, ind.state)
-                     : ev->evaluate(ind.genome, ind.state));
+  ind.objectives = problem_->objectives_of(ev.evaluate_incremental(
+      ind.genome, base.genome, base.state, lineage->touched, ind.state,
+      /*trusted_child=*/true));
 }
 
 void Nsga2::for_each_index(std::size_t count,
@@ -101,21 +92,14 @@ void Nsga2::initialize(const std::vector<Allocation>& seeds) {
   if (seeds.size() > config_.population_size) {
     throw std::invalid_argument("more seeds than population slots");
   }
-  const std::size_t genome = problem_->genome_size();
-
   population_.clear();
   population_.reserve(config_.population_size);
-  const Evaluator* ev = problem_->incremental_evaluator();
   for (const Allocation& seed : seeds) {
-    if (seed.size() != genome ||
-        seed.order.size() != genome) {
-      throw std::invalid_argument("seed genome size mismatch");
-    }
-    // User-supplied genomes get their one structural validation here;
-    // random fills below are valid by construction (drawn from eligible
-    // machines and in-range p-states), so the initial evaluation sweep
-    // can skip the per-gene pass for the whole population.
-    if (ev != nullptr) ev->validate(seed);
+    // User-supplied genomes get their one validation (shape included)
+    // here; random fills below are valid by construction (drawn from
+    // eligible machines and in-range p-states), so the initial evaluation
+    // sweep can skip the per-gene pass for the whole population.
+    problem_->evaluator().validate(seed);
     population_.push_back({seed, {}, 0, 0.0, {}});
   }
   while (population_.size() < config_.population_size) {
@@ -123,7 +107,7 @@ void Nsga2::initialize(const std::vector<Allocation>& seeds) {
   }
   for_each_index(population_.size(), [&](std::size_t k) {
     const ScopedTimer timed(timer_evaluation_);
-    evaluate_individual(population_, k, nullptr, /*trusted_genome=*/true);
+    evaluate_individual(population_, k, nullptr);
   });
   count_evaluations(population_.size());
 
@@ -142,10 +126,10 @@ void Nsga2::initialize_warm(const std::vector<Allocation>& seeds,
   const std::size_t injected = std::min(room, warm.size());
   combined.insert(combined.end(), warm.begin(),
                   warm.begin() + static_cast<std::ptrdiff_t>(injected));
+  initialize(combined);
   if (injected > 0 && config_.metrics != nullptr) {
     config_.metrics->counter("nsga2.warm_seeds").add(injected);
   }
-  initialize(combined);
 }
 
 void Nsga2::annotate_and_select(std::vector<Individual>& meta) {
@@ -235,139 +219,76 @@ void Nsga2::plan_pairs() {
   }
 }
 
+void Nsga2::trace_lineage(const std::vector<Individual>& meta,
+                          const Allocation& child, std::size_t cloned,
+                          std::size_t donor, const CrossoverSegment& segment,
+                          const MutationDraw& mutation, Lineage& lineage) {
+  // The base is the parent that gave the child more genes: the one it was
+  // cloned from, or the donor when the segment covers more than half the
+  // genome.  A donor without the child's P-state genes (a greedy seed next
+  // to DVFS genomes) is never a base: the diff against it is the whole
+  // genome.
+  const std::size_t tasks = child.size();
+  const std::size_t len = segment.swapped ? segment.hi - segment.lo + 1 : 0;
+  const bool donor_fits =
+      meta[donor].genome.pstate.size() == child.pstate.size();
+  const bool from_donor = donor_fits && 2 * len > tasks;
+  const Allocation& base = meta[from_donor ? donor : cloned].genome;
+  lineage.base = static_cast<std::uint32_t>(from_donor ? donor : cloned);
+  lineage.touched.clear();
+  // Child and base can only differ where the other parent's genes went —
+  // inside the segment for the cloned base, outside it for the donor —
+  // and at the mutated genes.  Those genes are compared, since a segment
+  // swapped between converged parents copies mostly-equal genes.
+  if (from_donor) {
+    if (segment.lo > 0) {
+      collect_touched(child, base, 0, segment.lo - 1, lineage.touched);
+    }
+    collect_touched(child, base, segment.hi + 1, tasks - 1, lineage.touched);
+  } else if (segment.swapped) {
+    collect_touched(child, base, segment.lo, segment.hi, lineage.touched);
+  }
+  if (!mutation.drawn) return;
+  for (const std::uint32_t gene : {mutation.gene, mutation.partner}) {
+    const bool in_segment =
+        segment.swapped && gene >= segment.lo && gene <= segment.hi;
+    if (in_segment == from_donor) {
+      collect_touched(child, base, gene, gene, lineage.touched);
+    }
+  }
+}
+
 void Nsga2::build_pair(std::vector<Individual>& meta, std::size_t pair) {
   const std::size_t n = config_.population_size;
   const PairPlan& plan = plan_[pair];
   const std::size_t slot_a = n + 2 * pair;
   const std::size_t slot_b = slot_a + 1;
-  const std::size_t i = plan.first;
-  const std::size_t j = plan.second;
-  const CrossoverSegment& segment = plan.segment;
-  OffspringHint& hint_a = hints_[2 * pair];
-  OffspringHint& hint_b = hints_[2 * pair + 1];
+  Lineage& lineage_a = lineages_[2 * pair];
+  Lineage& lineage_b = lineages_[2 * pair + 1];
+  const bool repair = config_.repair_order_permutation;
   {
     const ScopedTimer timed(timer_variation_);
     Allocation& child_a = meta[slot_a].genome;
     Allocation& child_b = meta[slot_b].genome;
-    child_a = meta[i].genome;
-    child_b = meta[j].genome;
-    apply_crossover(child_a, child_b, segment);
+    child_a = meta[plan.first].genome;
+    child_b = meta[plan.second].genome;
+    apply_crossover(child_a, child_b, plan.segment);
     apply_mutation(child_a, plan.mutation_a);
     apply_mutation(child_b, plan.mutation_b);
-    if (config_.repair_order_permutation) {
+    if (repair) {
+      // Repair rewrites every order gene, so the children take a full pass.
       repair_order_permutation(child_a);
       repair_order_permutation(child_b);
-    }
-    hint_a.full = true;
-    hint_a.touched.clear();
-    hint_b.full = true;
-    hint_b.touched.clear();
-    if (track_deltas_) {
-      thread_local std::vector<std::uint32_t> mutated_a;
-      thread_local std::vector<std::uint32_t> mutated_b;
-      thread_local std::vector<std::uint32_t> scratch_touched;
-      const auto mutated_genes = [](const MutationDraw& draw,
-                                    std::vector<std::uint32_t>& out) {
-        out.clear();
-        if (draw.drawn) {
-          out.push_back(draw.gene);
-          out.push_back(draw.partner);
-        }
-      };
-      mutated_genes(plan.mutation_a, mutated_a);
-      mutated_genes(plan.mutation_b, mutated_b);
-      // The true delta vs the parent each child was cloned from:
-      // crossover only changes genes where the parents disagreed, so
-      // filter the segment (and any mutated genes) down to actual
-      // differences before handing them to the delta-evaluator.  A
-      // child is also a valid delta off the *other* parent (which
-      // donated the segment): its diff there is the segment's
-      // complement plus mutations inside the segment.
-      //
-      // Diffing both parents for every child doubles the genome scans
-      // for a marginal payoff, so only the side with the smaller
-      // candidate region is scanned up front; the other side is tried
-      // only when the first would make the delta-evaluator bail to a
-      // full simulation anyway (touched > T/2) — exactly the
-      // converged-parents case where the opposite diff can be tiny.
-      const auto cloned_side = [&](const Allocation& child,
-                                   const Allocation& cloned,
-                                   const std::vector<std::uint32_t>& mutated,
-                                   std::vector<std::uint32_t>& out) {
-        collect_touched(child, cloned, segment.lo, segment.hi, out);
-        for (const std::uint32_t gene : mutated) {
-          if (gene >= segment.lo && gene <= segment.hi) {
-            continue;  // already covered by the segment scan
-          }
-          collect_touched(child, cloned, gene, gene, out);
-        }
-      };
-      const auto donor_side = [&](const Allocation& child,
-                                  const Allocation& donor,
-                                  const std::vector<std::uint32_t>& mutated,
-                                  std::vector<std::uint32_t>& out) {
-        if (segment.lo > 0) {
-          collect_touched(child, donor, 0, segment.lo - 1, out);
-        }
-        if (segment.hi + 1 < child.machine.size()) {
-          collect_touched(child, donor, segment.hi + 1,
-                          child.machine.size() - 1, out);
-        }
-        for (const std::uint32_t gene : mutated) {
-          if (gene >= segment.lo && gene <= segment.hi) {
-            collect_touched(child, donor, gene, gene, out);
-          }
-        }
-      };
-      const auto fill_hint = [&](OffspringHint& hint, const Allocation& child,
-                                 const Allocation& cloned,
-                                 std::size_t cloned_index,
-                                 const Allocation& donor,
-                                 std::size_t donor_index,
-                                 const std::vector<std::uint32_t>& mutated) {
-        hint.parent = static_cast<std::uint32_t>(cloned_index);
-        hint.full = false;
-        if (!segment.swapped) {
-          for (const std::uint32_t gene : mutated) {
-            collect_touched(child, cloned, gene, gene, hint.touched);
-          }
-          return;
-        }
-        const std::size_t tasks = child.machine.size();
-        const std::size_t len = segment.hi - segment.lo + 1;
-        // A donor without the child's P-state genes (a greedy seed
-        // next to DVFS genomes) is no delta base: the child's diff
-        // against it is the whole genome.
-        const bool donor_usable = donor.pstate.size() == child.pstate.size();
-        const bool cloned_first = !donor_usable || len * 2 <= tasks;
-        if (cloned_first) {
-          cloned_side(child, cloned, mutated, hint.touched);
-        } else {
-          hint.parent = static_cast<std::uint32_t>(donor_index);
-          donor_side(child, donor, mutated, hint.touched);
-        }
-        if (!donor_usable || hint.touched.size() * 2 <= tasks) return;
-        scratch_touched.clear();
-        if (cloned_first) {
-          donor_side(child, donor, mutated, scratch_touched);
-        } else {
-          cloned_side(child, cloned, mutated, scratch_touched);
-        }
-        if (scratch_touched.size() < hint.touched.size()) {
-          hint.parent = static_cast<std::uint32_t>(
-              cloned_first ? donor_index : cloned_index);
-          hint.touched.swap(scratch_touched);
-        }
-      };
-      fill_hint(hint_a, child_a, meta[i].genome, i, meta[j].genome, j,
-                mutated_a);
-      fill_hint(hint_b, child_b, meta[j].genome, j, meta[i].genome, i,
-                mutated_b);
+    } else {
+      trace_lineage(meta, child_a, plan.first, plan.second, plan.segment,
+                    plan.mutation_a, lineage_a);
+      trace_lineage(meta, child_b, plan.second, plan.first, plan.segment,
+                    plan.mutation_b, lineage_b);
     }
   }
   const ScopedTimer timed(timer_evaluation_);
-  evaluate_individual(meta, slot_a, &hint_a, false);
-  evaluate_individual(meta, slot_b, &hint_b, false);
+  evaluate_individual(meta, slot_a, repair ? nullptr : &lineage_a);
+  evaluate_individual(meta, slot_b, repair ? nullptr : &lineage_b);
 }
 
 void Nsga2::iterate(std::size_t generations) {
@@ -389,7 +310,7 @@ void Nsga2::iterate(std::size_t generations) {
     for (std::size_t k = 0; k < n; ++k) {
       meta.push_back(k < spare_.size() ? std::move(spare_[k]) : Individual{});
     }
-    hints_.resize(n);
+    lineages_.resize(n);
     for_each_index(n / 2, [&](std::size_t pair) { build_pair(meta, pair); });
     count_evaluations(n);
 

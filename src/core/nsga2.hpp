@@ -76,10 +76,9 @@ struct Individual {
   std::size_t rank = 0;     ///< 0 == nondominated
   double crowding = 0.0;
   /// Per-machine simulation partials backing the incremental
-  /// delta-evaluator (empty only for a problem without an Evaluator, or
-  /// with incremental evaluation off).  Offspring whose operators touched
-  /// few genes re-simulate only the dirty machines of their parent's
-  /// state; fronts are bit-identical either way.
+  /// delta-evaluator.  An offspring that differs from its base parent in
+  /// few genes re-simulates only the dirty machines of the base's state;
+  /// fronts are bit-identical to a full pass.
   EvalState state;
 };
 
@@ -116,8 +115,8 @@ class Nsga2 {
   /// initialize()), then as many `warm` genomes as still fit are injected
   /// — archived fronts from a previous converged run — and the remainder is
   /// filled uniformly at random exactly as a cold start would.  Overflowing
-  /// warm genomes are dropped (lowest-index kept).  Bumps the
-  /// `nsga2.warm_seeds` counter by the number injected.
+  /// warm genomes are dropped (lowest-index kept).  Once initialization
+  /// succeeds, bumps the `nsga2.warm_seeds` counter by the number injected.
   void initialize_warm(const std::vector<Allocation>& seeds,
                        const std::vector<Allocation>& warm);
 
@@ -149,14 +148,10 @@ class Nsga2 {
   [[nodiscard]] const Nsga2Config& config() const noexcept { return config_; }
 
  private:
-  /// Delta-evaluation lineage of one offspring: which parent it was cloned
-  /// from and which genes the operators actually changed (post-filtering —
-  /// segment swaps between similar parents copy mostly-equal genes).
-  /// `full` forces a from-scratch simulation (order repair rewrites every
-  /// order gene, and zero-size populations have nothing to track).
-  struct OffspringHint {
-    std::uint32_t parent = 0;
-    bool full = true;
+  /// Delta-evaluation lineage of one offspring: the parent it is
+  /// evaluated against (its base) and the genes where it differs from it.
+  struct Lineage {
+    std::uint32_t base = 0;
     std::vector<std::uint32_t> touched;
   };
 
@@ -174,19 +169,24 @@ class Nsga2 {
   void for_each_index(std::size_t count,
                       const std::function<void(std::size_t)>& fn);
   void count_evaluations(std::size_t count);
-  /// Evaluates individuals[idx] in place (clone → delta → full, whichever
-  /// applies; see the definition).  `trusted_genome` marks a hint-less
-  /// genome as structurally valid (user seeds validated up front in
-  /// initialize(), or operator-built), skipping per-gene validation.
+  /// Evaluates individuals[idx] in place: a clone of its base or a delta
+  /// against it, or a full pass without a lineage.  The genome must be
+  /// structurally valid (see Evaluator::evaluate_trusted).
   void evaluate_individual(std::vector<Individual>& individuals,
-                           std::size_t idx, const OffspringHint* hint,
-                           bool trusted_genome);
+                           std::size_t idx, const Lineage* lineage);
   /// Takes every random draw of one generation into plan_, in the order
   /// building the pairs one after another would.
   void plan_pairs();
+  /// The lineage rule: fills `lineage` for `child`, built by cloning
+  /// meta[cloned] and crossing it over `segment` with meta[donor] before
+  /// `mutation`.
+  static void trace_lineage(const std::vector<Individual>& meta,
+                            const Allocation& child, std::size_t cloned,
+                            std::size_t donor, const CrossoverSegment& segment,
+                            const MutationDraw& mutation, Lineage& lineage);
   /// Builds offspring pair `pair` into meta[N + 2 * pair] and the slot
-  /// after it from plan_, fills their delta hints and evaluates both.
-  /// Pairs touch disjoint slots and hints, so they may run concurrently.
+  /// after it from plan_, traces their lineages and evaluates both.  Pairs
+  /// touch disjoint slots and lineages, so they may run concurrently.
   void build_pair(std::vector<Individual>& meta, std::size_t pair);
   /// Ranks and crowds `meta`, keeps the best N in it and moves the rest
   /// into spare_.
@@ -197,9 +197,6 @@ class Nsga2 {
   Rng rng_;
   std::unique_ptr<ThreadPool> owned_pool_;  ///< null when shared or serial
   ThreadPool* pool_ = nullptr;              ///< null when running inline
-  /// Whether offspring carry delta-evaluation hints (the problem has an
-  /// incremental evaluator and order repair is off).
-  bool track_deltas_ = false;
   /// Metric handles, resolved once at construction (null when disabled).
   Counter* metric_evaluations_ = nullptr;
   Counter* metric_generations_ = nullptr;
@@ -213,7 +210,7 @@ class Nsga2 {
   std::vector<Individual> spare_;
   /// Per-generation draws and offspring lineage, reused across generations.
   std::vector<PairPlan> plan_;
-  std::vector<OffspringHint> hints_;
+  std::vector<Lineage> lineages_;
   GenerationObserver observer_;
   std::size_t generation_ = 0;
   std::uint64_t evaluations_ = 0;

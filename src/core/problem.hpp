@@ -1,11 +1,14 @@
 #pragma once
 
 // The bi-objective resource-allocation problem interface consumed by the
-// NSGA-II.  Objectives are reported as an EUPoint: `energy` is minimized
-// and `utility` maximized (Figure 2's axes).  Problems with different
-// semantics map into that convention (see MakespanEnergyProblem).
+// NSGA-II.  A problem is an Evaluator (the §IV-B simulator) plus an
+// objective mapping: objectives_of reads a simulator Evaluation as an
+// EUPoint, where `energy` is minimized and `utility` maximized (Figure 2's
+// axes).  Problems with different semantics map into that convention (see
+// MakespanEnergyProblem).
 
 #include <cstddef>
+#include <utility>
 
 #include "pareto/point.hpp"
 #include "sched/evaluator.hpp"
@@ -14,68 +17,40 @@ namespace eus {
 
 class BiObjectiveProblem {
  public:
+  /// Both referents must outlive the problem.
+  BiObjectiveProblem(const SystemModel& system, const Trace& trace,
+                     EvaluatorOptions options)
+      : evaluator_(system, trace, std::move(options)) {}
   virtual ~BiObjectiveProblem() = default;
 
+  /// Maps a simulator Evaluation into this problem's (energy, utility)
+  /// point.  Optimizers evaluate through evaluator() (full or delta path)
+  /// and map the result here, so every path yields evaluate()'s point bit
+  /// for bit.
+  [[nodiscard]] virtual EUPoint objectives_of(const Evaluation& e) const = 0;
+
+  /// Objective values of a complete allocation, validated first.
+  /// Thread-safe.
+  [[nodiscard]] EUPoint evaluate(const Allocation& allocation) const {
+    return objectives_of(evaluator_.evaluate(allocation));
+  }
+
   /// Number of genes (== trace size).
-  [[nodiscard]] virtual std::size_t genome_size() const = 0;
-
-  /// Objective values of a complete allocation.  Must be thread-safe.
-  [[nodiscard]] virtual EUPoint evaluate(const Allocation& allocation)
-      const = 0;
-
-  /// Catalog access for genetic operators (eligibility, arrival times).
-  [[nodiscard]] virtual const SystemModel& system() const = 0;
-  [[nodiscard]] virtual const Trace& trace() const = 0;
-
-  /// Number of DVFS P-states a pstate gene may take; 0 disables the gene.
-  [[nodiscard]] virtual std::size_t num_pstates() const { return 0; }
-
-  /// Delta-evaluation seam: the Evaluator behind evaluate(), or nullptr
-  /// when this problem has none (optimizers then always re-simulate from
-  /// scratch).  A non-null return promises that
-  /// objectives_of(evaluator->evaluate(a)) == evaluate(a) bit for bit, so
-  /// callers may route through Evaluator::evaluate_incremental and map the
-  /// result with objectives_of without perturbing fronts.
-  [[nodiscard]] virtual const Evaluator* incremental_evaluator()
-      const noexcept {
-    return nullptr;
-  }
-
-  /// Maps a raw simulator Evaluation into this problem's (energy, utility)
-  /// point convention.  Only meaningful when incremental_evaluator() is
-  /// non-null; the default is the paper's utility/energy reading.
-  [[nodiscard]] virtual EUPoint objectives_of(const Evaluation& e) const {
-    return {e.energy, e.utility};
-  }
-};
-
-/// The paper's primary problem: maximize total utility earned, minimize
-/// total energy consumed (§IV-B).
-class UtilityEnergyProblem final : public BiObjectiveProblem {
- public:
-  UtilityEnergyProblem(const SystemModel& system, const Trace& trace,
-                       EvaluatorOptions options = {})
-      : evaluator_(system, trace, std::move(options)) {}
-
-  [[nodiscard]] std::size_t genome_size() const override {
+  [[nodiscard]] std::size_t genome_size() const noexcept {
     return evaluator_.trace().size();
   }
-  [[nodiscard]] EUPoint evaluate(const Allocation& a) const override {
-    const Evaluation e = evaluator_.evaluate(a);
-    return {e.energy, e.utility};
-  }
-  [[nodiscard]] const SystemModel& system() const override {
+
+  /// Catalog access for genetic operators (eligibility, arrival times).
+  [[nodiscard]] const SystemModel& system() const noexcept {
     return evaluator_.system();
   }
-  [[nodiscard]] const Trace& trace() const override {
+  [[nodiscard]] const Trace& trace() const noexcept {
     return evaluator_.trace();
   }
-  [[nodiscard]] std::size_t num_pstates() const override {
+
+  /// Number of DVFS P-states a pstate gene may take; 0 disables the gene.
+  [[nodiscard]] std::size_t num_pstates() const noexcept {
     return evaluator_.options().dvfs ? evaluator_.options().dvfs->size() : 0;
-  }
-  [[nodiscard]] const Evaluator* incremental_evaluator()
-      const noexcept override {
-    return &evaluator_;
   }
 
   [[nodiscard]] const Evaluator& evaluator() const noexcept {
@@ -86,6 +61,19 @@ class UtilityEnergyProblem final : public BiObjectiveProblem {
   Evaluator evaluator_;
 };
 
+/// The paper's primary problem: maximize total utility earned, minimize
+/// total energy consumed (§IV-B).
+class UtilityEnergyProblem final : public BiObjectiveProblem {
+ public:
+  UtilityEnergyProblem(const SystemModel& system, const Trace& trace,
+                       EvaluatorOptions options = {})
+      : BiObjectiveProblem(system, trace, std::move(options)) {}
+
+  [[nodiscard]] EUPoint objectives_of(const Evaluation& e) const override {
+    return {e.energy, e.utility};
+  }
+};
+
 /// The predecessor baseline (Friese et al., INFOCOMP 2012, the paper's
 /// ref [3]): minimize makespan and energy.  Makespan enters the EUPoint as
 /// utility = -makespan so "maximize utility" == "minimize makespan".
@@ -93,34 +81,11 @@ class MakespanEnergyProblem final : public BiObjectiveProblem {
  public:
   MakespanEnergyProblem(const SystemModel& system, const Trace& trace,
                         EvaluatorOptions options = {})
-      : evaluator_(system, trace, std::move(options)) {}
+      : BiObjectiveProblem(system, trace, std::move(options)) {}
 
-  [[nodiscard]] std::size_t genome_size() const override {
-    return evaluator_.trace().size();
-  }
-  [[nodiscard]] EUPoint evaluate(const Allocation& a) const override {
-    const Evaluation e = evaluator_.evaluate(a);
-    return {e.energy, -e.makespan};
-  }
-  [[nodiscard]] const SystemModel& system() const override {
-    return evaluator_.system();
-  }
-  [[nodiscard]] const Trace& trace() const override {
-    return evaluator_.trace();
-  }
-  [[nodiscard]] std::size_t num_pstates() const override {
-    return evaluator_.options().dvfs ? evaluator_.options().dvfs->size() : 0;
-  }
-  [[nodiscard]] const Evaluator* incremental_evaluator()
-      const noexcept override {
-    return &evaluator_;
-  }
   [[nodiscard]] EUPoint objectives_of(const Evaluation& e) const override {
     return {e.energy, -e.makespan};
   }
-
- private:
-  Evaluator evaluator_;
 };
 
 }  // namespace eus

@@ -34,24 +34,18 @@ SaResult simulated_annealing(const BiObjectiveProblem& problem,
   if (options.steps_per_temperature == 0) {
     throw std::invalid_argument("steps_per_temperature must be >= 1");
   }
-  if (start.size() != problem.genome_size()) {
-    throw std::invalid_argument("start allocation size mismatch");
-  }
 
   // The annealing chain mutates one gene pair per step — ideal for the
   // delta-evaluator, which re-simulates only the touched machines while
   // producing bit-identical objectives (see docs/evaluator.md).
-  const Evaluator* ev = problem.incremental_evaluator();
-  const bool use_delta = ev != nullptr && ev->incremental_on();
+  const Evaluator& ev = problem.evaluator();
   EvalState state;
   EvalState candidate_state;
   std::vector<std::uint32_t> touched;
 
   SaResult best;
   Allocation current = std::move(start);
-  EUPoint current_obj =
-      use_delta ? problem.objectives_of(ev->evaluate(current, state))
-                : problem.evaluate(current);
+  EUPoint current_obj = problem.objectives_of(ev.evaluate(current, state));
   best.allocation = current;
   best.objectives = current_obj;
   best.evaluations = 1;
@@ -69,14 +63,11 @@ SaResult simulated_annealing(const BiObjectiveProblem& problem,
   while (best.evaluations < options.max_evaluations) {
     Allocation candidate = current;
     touched.clear();
-    mutate(candidate, problem, rng,  // the paper-style neighborhood move
-           use_delta ? &touched : nullptr);
+    mutate(candidate, problem, rng, &touched);  // the paper-style move
 
-    const EUPoint obj =
-        use_delta ? problem.objectives_of(ev->evaluate_incremental(
-                        candidate, current, state, touched, candidate_state,
-                        /*trusted_child=*/true))
-                  : problem.evaluate(candidate);
+    const EUPoint obj = problem.objectives_of(
+        ev.evaluate_incremental(candidate, current, state, touched,
+                                candidate_state, /*trusted_child=*/true));
     ++best.evaluations;
     const double s = score(obj, options.lambda, u_scale, e_scale);
     const double delta = s - current_score;

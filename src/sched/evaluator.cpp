@@ -343,7 +343,6 @@ Evaluation Evaluator::evaluate_incremental(
     return run(child, out_state, noop);
   };
 
-  if (!options_.incremental) return full_fallback();
   if (parent_state.machines.size() != num_machines_ ||
       child.machine.size() != num_tasks_ ||
       child.order.size() != num_tasks_ ||

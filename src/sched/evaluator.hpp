@@ -54,10 +54,6 @@ struct EvaluatorOptions {
   /// powered down).  With idle power, packing work onto fewer machines
   /// can beat pure per-task EEC minimization.
   std::vector<double> idle_watts;
-  /// Delta evaluation (default on).  Off forces evaluate_incremental
-  /// through the full simulator, which makes it the differential tests'
-  /// oracle; fronts are bit-identical either way.
-  bool incremental = true;
   /// Optional telemetry sink (must outlive the evaluator).  When set, the
   /// evaluator counts evaluations ("evaluator.evaluations"), dropped tasks
   /// ("evaluator.tasks_dropped"), and the delta-path outcome counters
@@ -125,12 +121,12 @@ class Evaluator {
   /// `parent_state`.  Only the machines whose task sets, orders, or
   /// P-states changed are re-simulated; the result is bit-identical to
   /// evaluate(child).  Falls back to the full simulator — still filling
-  /// `out_state` — when the delta is large, the shapes diverge, the state
-  /// is invalid, or incremental evaluation is disabled.  Touched genes are
-  /// validated like validate(); untouched genes are trusted (the parent
-  /// was validated).  With `trusted_child` the touched-gene validation is
-  /// skipped too, under the same structural-validity contract as
-  /// evaluate_trusted() (gene indices in `touched` are still range-checked).
+  /// `out_state` — when the delta is large, the shapes diverge, or the
+  /// state is invalid.  Touched genes are validated like validate();
+  /// untouched genes are trusted (the parent was validated).  With
+  /// `trusted_child` the touched-gene validation is skipped too, under the
+  /// same structural-validity contract as evaluate_trusted() (gene indices
+  /// in `touched` are still range-checked).
   Evaluation evaluate_incremental(const Allocation& child,
                                   const Allocation& parent,
                                   const EvalState& parent_state,
@@ -147,12 +143,6 @@ class Evaluator {
   /// a machine index is out of range, a task is mapped to an ineligible
   /// machine, or a P-state index is invalid.
   void validate(const Allocation& allocation) const;
-
-  /// Whether evaluate_incremental may take the delta path
-  /// (EvaluatorOptions::incremental).
-  [[nodiscard]] bool incremental_on() const noexcept {
-    return options_.incremental;
-  }
 
   [[nodiscard]] const SystemModel& system() const noexcept { return *system_; }
   [[nodiscard]] const Trace& trace() const noexcept { return *trace_; }

@@ -91,6 +91,17 @@ TEST(Nsga2, RejectsWrongSizeSeed) {
                std::invalid_argument);
 }
 
+TEST(Nsga2, RefusedWarmStartCountsNoWarmSeeds) {
+  const Fixture fx;
+  MetricsRegistry metrics;
+  Nsga2Config cfg = small_config();
+  cfg.metrics = &metrics;
+  Nsga2 ga(fx.problem, cfg);
+  EXPECT_THROW(ga.initialize_warm({}, {make_trivial_allocation(3)}),
+               std::invalid_argument);
+  EXPECT_EQ(metrics.counter("nsga2.warm_seeds").value(), 0U);
+}
+
 TEST(Nsga2, InitializePopulationSizeAndAnnotation) {
   const Fixture fx;
   Nsga2 ga(fx.problem, small_config());
