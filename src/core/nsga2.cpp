@@ -62,15 +62,14 @@ void Nsga2::evaluate_individual(std::vector<Individual>& individuals,
         problem_->objectives_of(ev.evaluate_trusted(ind.genome, ind.state));
     return;
   }
-  const Individual& base = individuals[lineage->base];
-  if (lineage->touched.empty()) {
+  if (lineage->plan.empty()) {
+    const Individual& base = individuals[lineage->base];
     ind.state = base.state;
     ind.objectives = base.objectives;
     return;
   }
-  ind.objectives = problem_->objectives_of(ev.evaluate_incremental(
-      ind.genome, base.genome, base.state, lineage->touched, ind.state,
-      /*trusted_child=*/true));
+  ind.objectives = problem_->objectives_of(
+      ev.evaluate_planned(ind.genome, lineage->plan, ind.state));
 }
 
 void Nsga2::for_each_index(std::size_t count,
@@ -222,7 +221,8 @@ void Nsga2::plan_pairs() {
 void Nsga2::trace_lineage(const std::vector<Individual>& meta,
                           const Allocation& child, std::size_t cloned,
                           std::size_t donor, const CrossoverSegment& segment,
-                          const MutationDraw& mutation, Lineage& lineage) {
+                          const MutationDraw& mutation,
+                          Lineage& lineage) const {
   // The base is the parent that gave the child more genes: the one it was
   // cloned from, or the donor when the segment covers more than half the
   // genome.  A donor without the child's P-state genes (a greedy seed next
@@ -233,28 +233,32 @@ void Nsga2::trace_lineage(const std::vector<Individual>& meta,
   const bool donor_fits =
       meta[donor].genome.pstate.size() == child.pstate.size();
   const bool from_donor = donor_fits && 2 * len > tasks;
-  const Allocation& base = meta[from_donor ? donor : cloned].genome;
   lineage.base = static_cast<std::uint32_t>(from_donor ? donor : cloned);
-  lineage.touched.clear();
+  const Individual& base = meta[lineage.base];
+  const Evaluator& ev = problem_->evaluator();
+  ev.begin_delta(base.state, lineage.plan);
   // Child and base can only differ where the other parent's genes went —
   // inside the segment for the cloned base, outside it for the donor —
-  // and at the mutated genes.  Those genes are compared, since a segment
-  // swapped between converged parents copies mostly-equal genes.
+  // and at the mutated genes.  Those genes go to the evaluator's cost
+  // rule, which keeps the ones that really differ: a segment swapped
+  // between converged parents copies mostly-equal genes.  The walk stops
+  // at the first gene that puts a delta over budget, since the child then
+  // takes a full pass and the rest of the diff would go unused.
+  const auto feed = [&](std::size_t lo, std::size_t hi) {
+    return ev.plan_genes(lineage.plan, child, base.genome, lo, hi);
+  };
+  bool within_budget = true;
   if (from_donor) {
-    if (segment.lo > 0) {
-      collect_touched(child, base, 0, segment.lo - 1, lineage.touched);
-    }
-    collect_touched(child, base, segment.hi + 1, tasks - 1, lineage.touched);
+    within_budget = (segment.lo == 0 || feed(0, segment.lo - 1)) &&
+                    feed(segment.hi + 1, tasks - 1);
   } else if (segment.swapped) {
-    collect_touched(child, base, segment.lo, segment.hi, lineage.touched);
+    within_budget = feed(segment.lo, segment.hi);
   }
-  if (!mutation.drawn) return;
+  if (!within_budget || !mutation.drawn) return;
   for (const std::uint32_t gene : {mutation.gene, mutation.partner}) {
     const bool in_segment =
         segment.swapped && gene >= segment.lo && gene <= segment.hi;
-    if (in_segment == from_donor) {
-      collect_touched(child, base, gene, gene, lineage.touched);
-    }
+    if (in_segment == from_donor && !feed(gene, gene)) return;
   }
 }
 

@@ -149,10 +149,11 @@ class Nsga2 {
 
  private:
   /// Delta-evaluation lineage of one offspring: the parent it is
-  /// evaluated against (its base) and the genes where it differs from it.
+  /// evaluated against (its base) and the evaluator's plan of the genes
+  /// where it differs from it.
   struct Lineage {
     std::uint32_t base = 0;
-    std::vector<std::uint32_t> touched;
+    DeltaPlan plan;
   };
 
   /// The draws of one offspring pair: the parents' population indices,
@@ -179,11 +180,12 @@ class Nsga2 {
   void plan_pairs();
   /// The lineage rule: fills `lineage` for `child`, built by cloning
   /// meta[cloned] and crossing it over `segment` with meta[donor] before
-  /// `mutation`.
-  static void trace_lineage(const std::vector<Individual>& meta,
-                            const Allocation& child, std::size_t cloned,
-                            std::size_t donor, const CrossoverSegment& segment,
-                            const MutationDraw& mutation, Lineage& lineage);
+  /// `mutation`.  Stops at the first gene the evaluator's cost rule puts
+  /// over budget.
+  void trace_lineage(const std::vector<Individual>& meta,
+                     const Allocation& child, std::size_t cloned,
+                     std::size_t donor, const CrossoverSegment& segment,
+                     const MutationDraw& mutation, Lineage& lineage) const;
   /// Builds offspring pair `pair` into meta[N + 2 * pair] and the slot
   /// after it from plan_, traces their lineages and evaluates both.  Pairs
   /// touch disjoint slots and lineages, so they may run concurrently.

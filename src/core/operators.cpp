@@ -98,22 +98,6 @@ void mutate(Allocation& a, const BiObjectiveProblem& problem, Rng& rng,
   }
 }
 
-void collect_touched(const Allocation& child, const Allocation& parent,
-                     std::size_t lo, std::size_t hi,
-                     std::vector<std::uint32_t>& out) {
-  const std::size_t tasks = child.size();
-  if (tasks == 0) return;
-  hi = std::min(hi, tasks - 1);
-  const bool pstates = !child.pstate.empty();
-  for (std::size_t g = lo; g <= hi; ++g) {
-    if (child.machine[g] != parent.machine[g] ||
-        child.order[g] != parent.order[g] ||
-        (pstates && child.pstate[g] != parent.pstate[g])) {
-      out.push_back(static_cast<std::uint32_t>(g));
-    }
-  }
-}
-
 void repair_order_permutation(Allocation& a) {
   const std::size_t tasks = a.size();
   std::vector<std::uint32_t> sequence(tasks);

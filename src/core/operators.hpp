@@ -77,15 +77,6 @@ void apply_mutation(Allocation& a, const MutationDraw& draw);
 void mutate(Allocation& a, const BiObjectiveProblem& problem, Rng& rng,
             std::vector<std::uint32_t>* touched = nullptr);
 
-/// Appends to `out` every gene in [lo, hi] (inclusive, clamped to the
-/// genome) where `child` actually differs from `parent` — segment swaps
-/// between converged parents copy mostly-equal genes, so the true delta is
-/// usually far smaller than the segment.  The gene lists must be
-/// shape-compatible (same sizes, same pstate presence).
-void collect_touched(const Allocation& child, const Allocation& parent,
-                     std::size_t lo, std::size_t hi,
-                     std::vector<std::uint32_t>& out);
-
 /// Rewrites `order` into the permutation 0..T-1 that preserves the current
 /// execution sequence (stable by (order, index)).  Optional repair used by
 /// the encoding ablation: segment crossover can duplicate order values, and

@@ -314,6 +314,73 @@ TEST(EvaluatorDifferential, TelemetryCountsHitsAndFallbacks) {
   EXPECT_EQ(fallbacks.value(), 1U);
 }
 
+TEST(EvaluatorDifferential, DeltaBudgetIsAQuarterOfTheTrace) {
+  // The cost rule's estimate is the touched genes plus the parent's task
+  // count on every dirty machine.  An order-only edit dirties just the
+  // gene's own machine, so re-ordering k genes of one machine holding c
+  // tasks estimates exactly k + c.  One child sits at a quarter of the
+  // trace and must take the delta; the next gene puts its sibling between
+  // a quarter and a half, which must fall back to a full pass.
+  const Scenario scenario = make_dataset1(23);
+  MetricsRegistry metrics;
+  EvaluatorOptions options;
+  options.metrics = &metrics;
+  const Evaluator ev(scenario.system, scenario.trace, options);
+  Counter& hits = metrics.counter("evaluator.incremental.hits");
+  Counter& fallbacks = metrics.counter("evaluator.incremental.fallbacks");
+
+  const std::size_t n = scenario.trace.size();
+  const std::size_t machines = scenario.system.num_machines();
+  const std::size_t quarter = n / 4;
+  const std::size_t on_first = quarter * 2 / 3;
+  ASSERT_GE(machines, 2U);
+  ASSERT_LT(quarter + 1, n / 2);
+  // Tasks [0, on_first) on machine 0, the rest spread over the others;
+  // every dataset-1 task type runs on every machine.
+  Allocation parent;
+  for (std::size_t i = 0; i < n; ++i) {
+    parent.machine.push_back(
+        i < on_first ? 0 : static_cast<int>(1 + i % (machines - 1)));
+    parent.order.push_back(static_cast<int>(i));
+  }
+  EvalState parent_state;
+  ev.evaluate(parent, parent_state);
+  ASSERT_EQ(parent_state.machines[0].count, on_first);
+
+  const auto reorder_first = [&](std::size_t genes,
+                                 std::vector<std::uint32_t>& touched) {
+    Allocation child = parent;
+    touched.clear();
+    for (std::size_t g = 0; g < genes; ++g) {
+      child.order[g] = static_cast<int>((g + 1) % genes);
+      touched.push_back(static_cast<std::uint32_t>(g));
+    }
+    return child;
+  };
+  const auto expect_exact = [&](const Allocation& child,
+                                const std::vector<std::uint32_t>& touched) {
+    EvalState delta_state;
+    const Evaluation delta = ev.evaluate_incremental(
+        child, parent, parent_state, touched, delta_state);
+    EvalState oracle_state;
+    const Evaluation oracle = ev.evaluate(child, oracle_state);
+    expect_bit_identical(delta, oracle);
+    expect_states_equal(delta_state, oracle_state);
+  };
+
+  std::vector<std::uint32_t> touched;
+  const std::size_t at_quarter = quarter - on_first;
+  const Allocation within = reorder_first(at_quarter, touched);
+  expect_exact(within, touched);
+  EXPECT_EQ(hits.value(), 1U) << "estimate " << quarter << " of " << n;
+  EXPECT_EQ(fallbacks.value(), 0U);
+
+  const Allocation over = reorder_first(at_quarter + 1, touched);
+  expect_exact(over, touched);
+  EXPECT_EQ(hits.value(), 1U) << "estimate " << quarter + 1 << " of " << n;
+  EXPECT_EQ(fallbacks.value(), 1U);
+}
+
 TEST(EvaluatorDifferential, FrontsInvariantAcrossExecutionModes) {
   // The same seed must yield bit-identical fronts whether offspring pairs
   // run serially or pooled: the evaluator is a pure function and the pool

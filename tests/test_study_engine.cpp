@@ -246,6 +246,14 @@ TEST(StudyEngine, EvaluatorMetricsCountViaProblemOptions) {
   // Seed construction evaluates nothing through the evaluator's fast path
   // beyond the populations: N initial + N per generation, per population.
   EXPECT_EQ(snap.counters.at("evaluator.evaluations"), 5U * 12U * (1U + 2U));
+  // Every evaluated offspring is a delta hit or a counted fallback, also
+  // when the lineage walk stopped it before the evaluator saw a diff.
+  const std::uint64_t hits = snap.counters.at("evaluator.incremental.hits");
+  const std::uint64_t fallbacks =
+      snap.counters.at("evaluator.incremental.fallbacks");
+  EXPECT_EQ(hits + fallbacks,
+            snap.counters.at("evaluator.evaluations") - 5U * 12U);
+  EXPECT_GT(fallbacks, 0U);
 }
 
 }  // namespace
