@@ -14,6 +14,7 @@
 #include "benchkit/registry.hpp"
 #include "sched/eval_state.hpp"
 #include "sched/evaluator.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -160,9 +161,16 @@ EUS_BENCHMARK(evaluator_delta_sweep,
               "delta-size sweep on dataset 3: per-eval time vs touched "
               "genes, through the fallback crossover (EUS_SCALE)") {
   const Scenario& s = dataset3();
+  // The delta-share column reads the evaluator's own outcome counters, so
+  // it needs a registry even when the harness passes none.
+  MetricsRegistry local;
+  MetricsRegistry& metrics = ctx.metrics != nullptr ? *ctx.metrics : local;
   EvaluatorOptions options;
-  options.metrics = ctx.metrics;
+  options.metrics = &metrics;
   const Evaluator ev(s.system, s.trace, options);
+  const Counter& hits = metrics.counter("evaluator.incremental.hits");
+  const Counter& fallbacks =
+      metrics.counter("evaluator.incremental.fallbacks");
 
   const std::size_t per_size = std::max<std::size_t>(16, scaled_evals(8000.0));
   Rng rng(13);
@@ -171,7 +179,7 @@ EUS_BENCHMARK(evaluator_delta_sweep,
   ev.evaluate(parent, parent_state);
 
   std::cout << "== evaluator_delta_sweep — " << s.name << " ==\n";
-  AsciiTable table({"touched genes", "us/eval", "path"});
+  AsciiTable table({"touched genes", "us/eval", "delta share"});
   double sink = 0.0;
   for (const std::size_t genes :
        {std::size_t{1}, std::size_t{4}, std::size_t{16}, std::size_t{64},
@@ -182,6 +190,8 @@ EUS_BENCHMARK(evaluator_delta_sweep,
       touch_genes(children[k], s.system, s.trace, rng, genes, touched[k]);
     }
     EvalState out;
+    const std::uint64_t hits0 = hits.value();
+    const std::uint64_t fallbacks0 = fallbacks.value();
     const auto t0 = std::chrono::steady_clock::now();
     for (std::size_t k = 0; k < per_size; ++k) {
       sink += ev.evaluate_incremental(children[k], parent, parent_state,
@@ -189,9 +199,16 @@ EUS_BENCHMARK(evaluator_delta_sweep,
                   .energy;
     }
     const auto t1 = std::chrono::steady_clock::now();
+    // The share of this row's calls the cost rule let take the delta.
+    const std::uint64_t row_hits = hits.value() - hits0;
+    const std::uint64_t row_calls = row_hits + fallbacks.value() - fallbacks0;
     table.add_row({std::to_string(genes),
                    format_double(us_per(t1 - t0, per_size), 2),
-                   genes * 2 > s.trace.size() ? "full fallback" : "delta"});
+                   format_double(row_calls == 0
+                                     ? 0.0
+                                     : static_cast<double>(row_hits) /
+                                           static_cast<double>(row_calls),
+                                 2)});
   }
   std::cout << table.render() << "(checksum " << sink << ")\n";
   return 0;
