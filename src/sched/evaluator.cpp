@@ -4,7 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
+#include <type_traits>
 
 namespace eus {
 
@@ -12,12 +12,16 @@ namespace {
 
 // The cost rule's budget: a delta is taken only while its estimate (genes
 // fed plus the base state's tasks on every dirty machine) is at most
-// 1/kDeltaBudgetDivisor of the trace.  A quarter is where a delta of
-// random genes on a random parent breaks even with a full pass on dataset
-// 3 (about 8 of 30 machines dirty, some 1,000 of 4,000 tasks).  Measured
-// end to end it beat half the trace on dataset 1 (262 vs 275 ms a study,
-// 5/5 seeds) and matched it on dataset 3 (233 vs 239 ms); see
-// EXPERIMENTS.md, "Cost-aware delta dispatch".
+// 1/kDeltaBudgetDivisor of the trace.  A quarter measured best end to end
+// when the full pass stepped each task whole: it beat half the trace on
+// dataset 1 (262 vs 275 ms a study, 5/5 seeds) and matched it on dataset
+// 3 (233 vs 239 ms).  The three-sweep full pass is cheaper while a delta
+// still steps each task, so on dataset 3 a hot NSGA-II child's delta now
+// takes 0.52 of a full pass's time at a quarter of the trace (0.39
+// before) and 0.97 near half (0.74 before), and a delta of 4 random genes
+// on a random parent costs more than a full pass.  Moving the budget is
+// an end-to-end claim of its own.  See EXPERIMENTS.md, "Cost-aware delta
+// dispatch" and "Full evaluation in three sweeps".
 constexpr std::size_t kDeltaBudgetDivisor = 4;
 
 }  // namespace
@@ -43,10 +47,13 @@ Evaluator::Evaluator(const SystemModel& system, const Trace& trace,
   const std::size_t types = system.num_task_types();
 
   task_rec_.resize(num_tasks_);
-  // Tasks routinely share TUF objects (one per utility class), so the span
-  // table is deduplicated by object identity — shared runs keep the table
-  // small and hot in cache.
-  std::unordered_map<const TimeUtilityFunction*, std::uint32_t> span_runs;
+  // Tasks share TUF objects, one per class of the trace's library, so the
+  // span table is deduplicated by class into span runs — shared runs keep
+  // the table small and hot in cache — and the same lookup groups the
+  // tasks by run for the utility sweep.
+  constexpr std::uint32_t kNoRun = 0xFFFFFFFFU;
+  const std::size_t classes = trace.tuf_classes().classes().size();
+  std::vector<std::uint32_t> run_of_class(classes, kNoRun);
   for (std::size_t i = 0; i < num_tasks_; ++i) {
     const TaskInstance& task = trace.tasks()[i];
     TaskRec& rec = task_rec_[i];
@@ -56,34 +63,61 @@ Evaluator::Evaluator(const SystemModel& system, const Trace& trace,
     const TimeUtilityFunction& f = trace.tuf_of(i);
     rec.tuf_priority = f.priority();
     rec.tuf_residual = f.residual();
-    const auto [it, fresh] = span_runs.try_emplace(
-        &f, static_cast<std::uint32_t>(tuf_spans_.size()));
-    // 24/8 packing limits: the deduplicated span table stays far below
-    // 2^24 entries and per-TUF interval counts far below 2^8 for any real
-    // workload; refuse construction rather than silently truncate.
-    if (it->second > 0xFFFFFFU || f.intervals().size() > 0xFFU) {
-      throw std::invalid_argument("TUF span table too large to pack");
-    }
-    rec.tuf_run = (it->second << 8U) |
-                  static_cast<std::uint32_t>(f.intervals().size());
-    if (!fresh) continue;
-    // Effective boundaries recomputed with the constructor's exact
-    // expression, so tuf_value() sees bit-identical span edges.
-    double t = 0.0;
-    for (const TufInterval& iv : f.intervals()) {
-      TufSpan span;
-      span.start = t;
-      t += iv.duration / (f.urgency() * iv.urgency_modifier);
-      span.end = t;
-      span.begin_fraction = iv.begin_fraction;
-      span.end_fraction = iv.end_fraction;
-      span.shape = iv.shape;
-      if (iv.shape == TufInterval::Shape::kExponential) {
-        // The exact operand TimeUtilityFunction::value feeds std::log.
-        span.log_ratio = std::log(iv.end_fraction / iv.begin_fraction);
+    std::uint32_t& run_index = run_of_class[task.tuf_class];
+    if (run_index == kNoRun) {
+      run_index = static_cast<std::uint32_t>(tuf_runs_.size());
+      // 24/8 packing limits: the deduplicated span table stays far below
+      // 2^24 entries and per-TUF interval counts far below 2^8 for any
+      // real workload; refuse construction rather than silently truncate.
+      if (tuf_spans_.size() > 0xFFFFFFU || f.intervals().size() > 0xFFU) {
+        throw std::invalid_argument("TUF span table too large to pack");
       }
-      tuf_spans_.push_back(span);
+      TufRun run;
+      run.first_span = static_cast<std::uint32_t>(tuf_spans_.size());
+      run.span_count = static_cast<std::uint32_t>(f.intervals().size());
+      run.residual = f.residual();
+      // Effective boundaries recomputed with the constructor's exact
+      // expression, so tuf_value() sees bit-identical span edges.
+      double t = 0.0;
+      for (const TufInterval& iv : f.intervals()) {
+        TufSpan span;
+        span.start = t;
+        t += iv.duration / (f.urgency() * iv.urgency_modifier);
+        span.end = t;
+        span.begin_fraction = iv.begin_fraction;
+        span.end_fraction = iv.end_fraction;
+        span.shape = iv.shape;
+        if (iv.shape == TufInterval::Shape::kExponential) {
+          // The exact operand TimeUtilityFunction::value feeds std::log.
+          span.log_ratio = std::log(iv.end_fraction / iv.begin_fraction);
+        }
+        tuf_spans_.push_back(span);
+      }
+      run.horizon = t;
+      tuf_runs_.push_back(run);
     }
+    TufRun& run = tuf_runs_[run_index];
+    ++run.task_count;
+    rec.tuf_run = (run.first_span << 8U) | run.span_count;
+  }
+
+  // The run lists, by counting sort on the run: each run's slice starts
+  // where the previous one ends, and filling it in index order keeps its
+  // tasks in index order.
+  std::vector<std::uint32_t> next_slot(tuf_runs_.size());
+  std::uint32_t offset = 0;
+  for (std::size_t r = 0; r < tuf_runs_.size(); ++r) {
+    tuf_runs_[r].first_task = offset;
+    next_slot[r] = offset;
+    offset += tuf_runs_[r].task_count;
+  }
+  run_tasks_.resize(num_tasks_);
+  run_priority_.resize(num_tasks_);
+  for (std::size_t i = 0; i < num_tasks_; ++i) {
+    const std::uint32_t slot =
+        next_slot[run_of_class[trace.tasks()[i].tuf_class]]++;
+    run_tasks_[slot] = static_cast<std::uint32_t>(i);
+    run_priority_[slot] = task_rec_[i].tuf_priority;
   }
 
   cost_tm_.resize(2 * types * num_machines_);
@@ -163,42 +197,43 @@ void Evaluator::validate(const Allocation& allocation) const {
   }
 }
 
-double Evaluator::tuf_value(const TaskRec& rec, double elapsed) const
-    noexcept {
+double Evaluator::span_value(std::span<const TufSpan> spans, double priority,
+                             double residual, double elapsed) noexcept {
   // Bit-identical replay of TimeUtilityFunction::value over the flattened
   // span table (same expressions, same order — see docs/evaluator.md).
   if (elapsed < 0.0) elapsed = 0.0;
-  const std::uint32_t first = rec.tuf_run >> 8U;
-  const std::uint32_t last = first + (rec.tuf_run & 0xFFU);
-  for (std::uint32_t k = first; k < last; ++k) {
-    const TufSpan& span = tuf_spans_[k];
+  for (const TufSpan& span : spans) {
     if (elapsed < span.end) {
       const double width = span.end - span.start;
       const double f = width > 0.0 ? (elapsed - span.start) / width : 1.0;
       switch (span.shape) {
         case TufInterval::Shape::kConstant:
-          return rec.tuf_priority * span.begin_fraction;
+          return priority * span.begin_fraction;
         case TufInterval::Shape::kLinear:
-          return rec.tuf_priority *
-                 (span.begin_fraction +
-                  (span.end_fraction - span.begin_fraction) * f);
+          return priority * (span.begin_fraction +
+                             (span.end_fraction - span.begin_fraction) * f);
         case TufInterval::Shape::kExponential:
           // b * (e/b)^f via exp(f * log(e/b)) with the log precomputed at
           // construction — bit-identical to TimeUtilityFunction::value,
           // which evaluates the same expression on the same operands.
-          return rec.tuf_priority * span.begin_fraction *
+          return priority * span.begin_fraction *
                  std::exp(f * span.log_ratio);
       }
     }
   }
-  return rec.tuf_residual;
+  return residual;
 }
 
-template <typename PerTask>
-void Evaluator::step_task(std::uint32_t i, MachinePartial& mp,
-                          const Allocation& allocation, bool use_dvfs,
-                          PerTask&& per_task) const {
-  const TaskRec& rec = task_rec_[i];
+double Evaluator::tuf_value(const TaskRec& rec, double elapsed) const
+    noexcept {
+  const std::span<const TufSpan> table(tuf_spans_);
+  return span_value(table.subspan(rec.tuf_run >> 8U, rec.tuf_run & 0xFFU),
+                    rec.tuf_priority, rec.tuf_residual, elapsed);
+}
+
+std::pair<double, double> Evaluator::exec_and_power(
+    const TaskRec& rec, std::uint32_t i, const Allocation& allocation,
+    bool use_dvfs) const noexcept {
   const std::size_t row =
       2 * (static_cast<std::size_t>(rec.type) * num_machines_ +
            static_cast<std::size_t>(allocation.machine[i]));
@@ -209,6 +244,15 @@ void Evaluator::step_task(std::uint32_t i, MachinePartial& mp,
     exec *= dvfs_time_[p];
     power *= dvfs_power_[p];
   }
+  return {exec, power};
+}
+
+template <typename PerTask>
+void Evaluator::step_task(std::uint32_t i, MachinePartial& mp,
+                          const Allocation& allocation, bool use_dvfs,
+                          PerTask&& per_task) const {
+  const TaskRec& rec = task_rec_[i];
+  const auto [exec, power] = exec_and_power(rec, i, allocation, use_dvfs);
 
   ++mp.count;
   const double arrival = rec.arrival;
@@ -301,10 +345,18 @@ Evaluation Evaluator::run(const Allocation& allocation, EvalState& state,
       options_.dvfs.has_value() && !allocation.pstate.empty();
 
   state.machines.assign(num_machines_, MachinePartial{});
-  for (const std::uint32_t i : sequence) {
-    step_task(i, state.machines[static_cast<std::size_t>(
-                     allocation.machine[i])],
-              allocation, use_dvfs, per_task);
+  // Whether a dropped task runs depends on its utility, so with dropping
+  // on each task takes one whole step, as it does for a caller that
+  // records every outcome.
+  constexpr bool kRecords =
+      !std::is_same_v<std::remove_cvref_t<PerTask>, NoOutcome>;
+  if (!kRecords && !options_.drop_worthless_tasks) {
+    sweep(allocation, sequence, use_dvfs, state);
+  } else {
+    for (const std::uint32_t i : sequence) {
+      const auto m = static_cast<std::size_t>(allocation.machine[i]);
+      step_task(i, state.machines[m], allocation, use_dvfs, per_task);
+    }
   }
 
   const Evaluation total = reduce(state);
@@ -315,21 +367,68 @@ Evaluation Evaluator::run(const Allocation& allocation, EvalState& state,
   return total;
 }
 
+void Evaluator::sweep(const Allocation& allocation,
+                      std::span<const std::uint32_t> sequence, bool use_dvfs,
+                      EvalState& state) const {
+  // Per task: its elapsed time after the schedule sweep, its utility after
+  // the utility sweep.
+  thread_local std::vector<double> task_value;
+  task_value.resize(num_tasks_);
+
+  // Schedule sweep: step_task's tail, busy-time, energy and count updates.
+  for (const std::uint32_t i : sequence) {
+    const TaskRec& rec = task_rec_[i];
+    const auto [exec, power] = exec_and_power(rec, i, allocation, use_dvfs);
+    MachinePartial& mp =
+        state.machines[static_cast<std::size_t>(allocation.machine[i])];
+    ++mp.count;
+    const double finish = std::max(mp.tail, rec.arrival) + exec;
+    mp.tail = finish;
+    mp.busy += exec;
+    mp.energy += exec * power;  // EEC, Eq. (2)
+    task_value[i] = finish - rec.arrival;
+  }
+
+  // Utility sweep, one span run at a time: its spans, horizon and residual
+  // are read once, and the span walk's branches follow one TUF's shape
+  // instead of whichever class the next task in scheduling order has.  A
+  // task not below the horizon takes the residual without a walk, which
+  // is what the walk would return.
+  const std::span<const TufSpan> table(tuf_spans_);
+  for (const TufRun& run : tuf_runs_) {
+    const auto spans = table.subspan(run.first_span, run.span_count);
+    const std::uint32_t end = run.first_task + run.task_count;
+    for (std::uint32_t k = run.first_task; k < end; ++k) {
+      double& value = task_value[run_tasks_[k]];
+      value = value < run.horizon
+                  ? span_value(spans, run_priority_[k], run.residual, value)
+                  : run.residual;
+    }
+  }
+
+  // Accumulation sweep, in scheduling order again: each machine adds its
+  // tasks' utilities in its own execution order, as step_task would.
+  for (const std::uint32_t i : sequence) {
+    const auto m = static_cast<std::size_t>(allocation.machine[i]);
+    state.machines[m].utility += task_value[i];
+  }
+}
+
 Evaluation Evaluator::evaluate(const Allocation& allocation) const {
   validate(allocation);
   thread_local EvalState scratch;
-  return run(allocation, scratch, [](std::uint32_t, const TaskOutcome&) {});
+  return run(allocation, scratch, NoOutcome{});
 }
 
 Evaluation Evaluator::evaluate(const Allocation& allocation,
                                EvalState& state) const {
   validate(allocation);
-  return run(allocation, state, [](std::uint32_t, const TaskOutcome&) {});
+  return run(allocation, state, NoOutcome{});
 }
 
 Evaluation Evaluator::evaluate_trusted(const Allocation& allocation,
                                        EvalState& state) const {
-  return run(allocation, state, [](std::uint32_t, const TaskOutcome&) {});
+  return run(allocation, state, NoOutcome{});
 }
 
 Evaluation Evaluator::evaluate_incremental(
@@ -341,7 +440,7 @@ Evaluation Evaluator::evaluate_incremental(
   const auto full_fallback = [&]() {
     if (metric_inc_fallbacks_ != nullptr) metric_inc_fallbacks_->add(1);
     validate(child);
-    return run(child, out_state, [](std::uint32_t, const TaskOutcome&) {});
+    return run(child, out_state, NoOutcome{});
   };
   if (parent_state.machines.size() != num_machines_ ||
       child.machine.size() != num_tasks_ ||
@@ -415,10 +514,9 @@ bool Evaluator::plan_genes(DeltaPlan& plan, const Allocation& child,
 Evaluation Evaluator::evaluate_planned(const Allocation& child,
                                        const DeltaPlan& plan,
                                        EvalState& out_state) const {
-  const auto noop = [](std::uint32_t, const TaskOutcome&) {};
   if (plan.over_budget_) {
     if (metric_inc_fallbacks_ != nullptr) metric_inc_fallbacks_->add(1);
-    return run(child, out_state, noop);
+    return run(child, out_state, NoOutcome{});
   }
 
   // Bucket the dirty machines' tasks (child mapping) per machine in index
@@ -460,7 +558,8 @@ Evaluation Evaluator::evaluate_planned(const Allocation& child,
     MachinePartial& mp = out_state.machines[m];
     mp = MachinePartial{};
     for (const std::uint64_t key : keys) {
-      step_task(static_cast<std::uint32_t>(key), mp, child, use_dvfs, noop);
+      step_task(static_cast<std::uint32_t>(key), mp, child, use_dvfs,
+                NoOutcome{});
     }
   }
 
