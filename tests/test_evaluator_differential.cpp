@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,7 +20,9 @@
 #include "sched/dvfs.hpp"
 #include "sched/evaluator.hpp"
 #include "telemetry/metrics.hpp"
+#include "tuf/builder.hpp"
 #include "util/rng.hpp"
+#include "workload/generator.hpp"
 #include "workload/scenarios.hpp"
 
 namespace eus {
@@ -277,6 +280,103 @@ TEST(EvaluatorDifferential, FlattenedTufReplayMatchesTufObjects) {
         outcomes[i].finish - scenario.trace.tasks()[i].arrival;
     EXPECT_EQ(outcomes[i].utility, scenario.trace.tuf_of(i).value(elapsed))
         << "task " << i;
+  }
+}
+
+/// Dataset 1's machines under a trace whose TUF library reaches every span
+/// shape and span count a trace file can carry: Figure 1's function, a
+/// seven-interval piecewise function, an exponential decay, a hard
+/// deadline, a function without intervals, and one with the 255 intervals
+/// the span table packs at most, cycling through all three shapes.  Every
+/// class has its own priority, so a task credited with the priority of
+/// another class changes the result.
+Scenario tuf_span_scenario() {
+  Scenario scenario = make_dataset1(26);
+  std::vector<TufInterval> many;
+  for (int k = 0; k < 255; ++k) {
+    TufInterval iv;
+    iv.duration = 10.0;
+    iv.shape = static_cast<TufInterval::Shape>(k % 3);
+    iv.begin_fraction = 1.0 - k / 256.0;
+    const bool flat = iv.shape == TufInterval::Shape::kConstant;
+    iv.end_fraction = flat ? iv.begin_fraction : 1.0 - (k + 1) / 256.0;
+    many.push_back(iv);
+  }
+  // Seven intervals, alternately flat and falling.
+  std::vector<std::pair<double, double>> samples = {{0.0, 10.0}};
+  for (int k = 1; k <= 7; ++k) {
+    const double value = k % 2 == 1 ? samples.back().second : 10.0 - k;
+    samples.emplace_back(250.0 * k, value);
+  }
+  std::vector<TufClass> classes;
+  classes.push_back({"figure-1", 1.0, make_figure1_tuf()});
+  classes.push_back({"piecewise", 1.0, make_piecewise_tuf(samples)});
+  classes.push_back({"exp", 1.0, make_exponential_decay_tuf(8.0, 1200.0)});
+  classes.push_back({"deadline", 1.0, make_hard_deadline_tuf(12.0, 500.0)});
+  classes.push_back({"flat", 1.0, TimeUtilityFunction(3.0, 1.0, {})});
+  classes.push_back({"255", 1.0, TimeUtilityFunction(5.0, 1.0, many)});
+  TraceConfig config;
+  config.num_tasks = 300;
+  config.window_seconds = scenario.window_seconds;
+  Rng rng(27);
+  scenario.name = "tuf-spans";
+  const TufClassLibrary library(std::move(classes));
+  scenario.trace = generate_trace(scenario.system, library, config, rng);
+  return scenario;
+}
+
+TEST(EvaluatorDifferential, UtilitySweepMatchesPerTaskStep) {
+  // Without dropping, a full pass schedules the machines, computes every
+  // utility one TUF span run at a time, then sums the utilities in
+  // execution order.  Dropping at a threshold of -infinity runs step_task
+  // per task in scheduling order but drops nothing, so that evaluator
+  // replays the same schedule task by task: objectives and partials must
+  // match the sweeps bit for bit.
+  struct Case {
+    Scenario scenario;
+    int genomes = 0;
+  };
+  const Case cases[] = {
+      {make_dataset1(24), 10},
+      {make_dataset3(25), 3},
+      {tuf_span_scenario(), 20},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.scenario.name);
+    const SystemModel& sys = c.scenario.system;
+    EvaluatorOptions dvfs;
+    dvfs.dvfs = make_cubic_dvfs({1.0, 0.8, 0.6});
+    EvaluatorOptions idle;
+    idle.idle_watts.resize(sys.num_machine_types());
+    for (std::size_t t = 0; t < idle.idle_watts.size(); ++t) {
+      idle.idle_watts[t] = 5.0 + 2.0 * static_cast<double>(t);
+    }
+    EvaluatorOptions dvfs_idle = dvfs;
+    dvfs_idle.idle_watts = idle.idle_watts;
+    const OptionVariant variants[] = {
+        {"plain", {}},
+        {"dvfs", dvfs},
+        {"idle-watts", idle},
+        {"dvfs+idle-watts", dvfs_idle},
+    };
+    for (const OptionVariant& variant : variants) {
+      SCOPED_TRACE(variant.name);
+      EvaluatorOptions stepped = variant.options;
+      stepped.drop_worthless_tasks = true;
+      stepped.drop_threshold = -std::numeric_limits<double>::infinity();
+      const Evaluator ev(sys, c.scenario.trace, variant.options);
+      const Evaluator oracle(sys, c.scenario.trace, stepped);
+      Rng rng(31);
+      for (int g = 0; g < c.genomes; ++g) {
+        const Allocation a = random_valid_allocation(
+            sys, c.scenario.trace, rng, pstates_of(variant.options));
+        EvalState state;
+        EvalState oracle_state;
+        expect_bit_identical(ev.evaluate(a, state),
+                             oracle.evaluate(a, oracle_state));
+        expect_states_equal(state, oracle_state);
+      }
+    }
   }
 }
 
