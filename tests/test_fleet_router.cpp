@@ -4,9 +4,9 @@
 // front bit-identity against a direct backend, consistent-hash cache
 // affinity, capability-tag eligibility, failover with passive mark-down
 // and probe-driven recovery, enable/disable and fleet-reload through the
-// adminz wire, router-side alias resolution and catalog reloads, framing
-// errors, the request log, drain semantics, and the routing-policy unit
-// surface.
+// adminz wire, router-side alias resolution (aliased allocates and deltas
+// forwarded with every member) and catalog reloads, framing errors, the
+// request log, drain semantics, and the routing-policy unit surface.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +24,7 @@
 #include "serve/client.hpp"
 #include "serve/handlers.hpp"
 #include "serve/server.hpp"
+#include "tenant/archive_store.hpp"
 #include "util/json_value.hpp"
 
 namespace eus::fleet {
@@ -451,6 +452,98 @@ TEST(FleetRouter, CatalogReloadOverTheWire) {
   EXPECT_EQ(health.number_or("catalog_generation", 0.0), 1.0);
   EXPECT_EQ(code_of(util::parse_json(connection.call(aliased))),
             serve::kCodeOk);
+}
+
+TEST(FleetRouter, AliasedDeltaResolvesAtTheRouter) {
+  // One backend with a warm-start archive and no catalog, behind a router
+  // whose catalog names the tenant's scenario.
+  tenant::ArchiveStore archive;
+  ServerConfig backend_config;
+  backend_config.archive = &archive;
+  Server backend(backend_config);
+  backend.start();
+  SharedCatalog catalog;
+  catalog.swap(std::make_shared<const ScenarioCatalog>(
+      std::vector<ScenarioRecipe>{{"nightly", "custom", 5, 24, 60.0}}));
+  RouterConfig config;
+  BackendConfig b1;
+  b1.name = "b1";
+  b1.port = backend.port();
+  config.fleet.backends.push_back(b1);
+  config.health_period_s = 0.0;
+  config.catalog = &catalog;
+  Router router(std::move(config));
+  router.start();
+
+  const std::string budget =
+      R"("nsga2":{"population":16,"generations":16,"seeds":["min-energy"]})";
+  const util::JsonValue prime = one_shot(
+      router.port(),
+      R"({"type":"allocate","mode":"nsga2","tenant":"acme","scenario":)"
+      R"({"name":"custom","tasks":24,"window_s":60,"seed":5},)" +
+          budget + "}");
+  ASSERT_EQ(code_of(prime), serve::kCodeOk) << prime.string_or("error", "");
+
+  const std::string delta =
+      R"({"type":"delta","tenant":"acme","base":{"name":"nightly"},)"
+      R"("mutations":[{"op":"add-tasks","count":4}],)" +
+      budget + "}";
+  // The backend cannot resolve the alias; the router can, and the delta
+  // finds the archive the concrete allocate filled.
+  EXPECT_EQ(code_of(one_shot(backend.port(), delta)), serve::kCodeBadRequest);
+  const util::JsonValue warm = one_shot(router.port(), delta);
+  ASSERT_EQ(code_of(warm), serve::kCodeOk) << warm.string_or("error", "");
+  ASSERT_NE(warm.get("warm"), nullptr);
+  EXPECT_TRUE(warm.get("warm")->boolean);
+
+  router.stop();
+  backend.stop();
+}
+
+TEST(FleetRouter, AliasedRequestKeepsEveryMember) {
+  FleetHarness fleet(1);
+  fleet.catalog.swap(std::make_shared<const ScenarioCatalog>(
+      std::vector<ScenarioRecipe>{{"quick", "custom", 77, 10, 30.0}}));
+  const auto request = [](const std::string& scenario) {
+    return R"({"type":"allocate","id":"a\"b\\c\né","tenant":"acme",)"
+           R"("mode":"pareto-query","scenario":)" +
+           scenario +
+           R"(,"nsga2":{"population":8,"generations":4,)"
+           R"("seeds":["min-energy"]},"query":{"max_energy":1e12},)"
+           R"("deadline_ms":60000})";
+  };
+  const util::JsonValue concrete = one_shot(
+      fleet.servers[0]->port(),
+      request(R"({"name":"custom","tasks":10,"window_s":30,"seed":77})"));
+  ASSERT_EQ(code_of(concrete), serve::kCodeOk)
+      << concrete.string_or("error", "");
+  const util::JsonValue aliased =
+      one_shot(fleet.router->port(), request(R"({"name":"quick"})"));
+  ASSERT_EQ(code_of(aliased), serve::kCodeOk)
+      << aliased.string_or("error", "");
+
+  EXPECT_EQ(aliased.string_or("id", ""), "a\"b\\c\n\xc3\xa9");
+  EXPECT_EQ(aliased.string_or("tenant", ""), "acme");
+  // The forwarded document keeps the tenant and the budget, so it keys
+  // the concrete request's cache entry.
+  EXPECT_EQ(aliased.string_or("cache", ""), "hit");
+  const util::JsonValue* front_a = aliased.get("front");
+  const util::JsonValue* front_c = concrete.get("front");
+  ASSERT_NE(front_a, nullptr);
+  ASSERT_NE(front_c, nullptr);
+  ASSERT_EQ(front_a->array.size(), front_c->array.size());
+  for (std::size_t i = 0; i < front_a->array.size(); ++i) {
+    EXPECT_EQ(front_a->array[i].number_or("energy", -1.0),
+              front_c->array[i].number_or("energy", -2.0));
+    EXPECT_EQ(front_a->array[i].number_or("utility", -1.0),
+              front_c->array[i].number_or("utility", -2.0));
+  }
+  const util::JsonValue* picked_a = aliased.get("objectives");
+  const util::JsonValue* picked_c = concrete.get("objectives");
+  ASSERT_NE(picked_a, nullptr);
+  ASSERT_NE(picked_c, nullptr);
+  EXPECT_EQ(picked_a->number_or("energy", -1.0),
+            picked_c->number_or("energy", -2.0));
 }
 
 TEST(FleetRouter, RequestLogRecordsEachRoutedRequest) {
