@@ -190,14 +190,13 @@ std::string Router::route(serve::ServeRequest request,
                           const std::string& payload, const Stopwatch& total) {
   // Resolve catalog aliases before anything else: the fingerprint must key
   // on what actually runs (cache affinity survives reloads), and backends
-  // carry no catalog, so an aliased request is re-rendered with its
-  // concrete scenario while everything else forwards byte-for-byte.
+  // carry no catalog, so an aliased request forwards as the client's own
+  // document with only its scenario replaced; everything else forwards
+  // byte-for-byte.
   std::string forward_payload = payload;
   try {
     if (resolve_request_scenario(request, config_.catalog)) {
-      forward_payload = request.kind == serve::RequestKind::kDelta
-                            ? render_delta_request(request)
-                            : render_allocate_request(request);
+      forward_payload = serve::with_resolved_scenario(payload, request);
     }
   } catch (const serve::ProtocolError& e) {
     metric_errors_->add();

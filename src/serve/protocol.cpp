@@ -1,6 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -18,36 +19,149 @@ namespace {
 using util::JsonValue;
 using util::to_size;
 
-[[noreturn]] void fail(const std::string& reason) {
-  throw ProtocolError(reason);
-}
+// Each enum's wire names, in enum order: the one place a name is written.
+// to_string, the slugs, the parse lookups and every "(want a|b|c)" list
+// read from these tables.
+constexpr std::array<const char*, 5> kRequestKinds = {
+    "allocate", "delta", "healthz", "metricsz", "adminz"};
+constexpr std::array<const char*, 3> kModes = {"heuristic", "nsga2",
+                                               "pareto-query"};
+constexpr std::array<const char*, 11> kAdminActions = {
+    "get-config",     "set-queue-depth", "set-cache-entries", "set-workers",
+    "catalog-reload", "enable-backend",  "disable-backend",   "fleet-reload",
+    "archive-stats",  "archive-flush",   "archive-cap"};
+constexpr std::array<const char*, 4> kMutationOps = {
+    "add-tasks", "remove-tasks", "set-window", "drop-machine"};
+constexpr std::array<const char*, 4> kHeuristicSlugs = {
+    "min-energy", "max-utility", "max-utility-per-energy", "min-min"};
 
-double require_positive(double v, const char* what) {
-  if (!(v > 0.0) || !std::isfinite(v)) {
-    fail(std::string(what) + " must be a positive finite number");
+constexpr std::string_view kTenantPattern = "[A-Za-z0-9._-]{1,64}";
+
+template <typename Enum, std::size_t N>
+std::optional<Enum> from_wire(const std::array<const char*, N>& names,
+                              std::string_view name) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (name == names[i]) return static_cast<Enum>(i);
   }
-  return v;
+  return std::nullopt;
 }
 
-/// A seed: any integer in [0, 2^64).  Unlike counts, seeds above 2^53 are
-/// accepted (clients send them; the nearest double is the seed), but from
-/// 2^64 on — infinity included — the cast to std::uint64_t is undefined.
-std::optional<std::uint64_t> to_seed(const JsonValue* v) {
-  constexpr double kTwoToThe64 = 18446744073709551616.0;
-  if (v == nullptr || !v->is_number() || !(v->number >= 0.0) ||
-      !(v->number < kTwoToThe64) || v->number != std::floor(v->number)) {
-    return std::nullopt;
+/// "a|b|c", for a refusal's "(want ...)" list.
+template <std::size_t N>
+std::string want_list(const std::array<const char*, N>& names) {
+  std::string out;
+  for (const char* name : names) {
+    if (!out.empty()) out += '|';
+    out += name;
   }
-  return static_cast<std::uint64_t>(v->number);
+  return out;
 }
 
-std::size_t size_field(const JsonValue& obj, std::string_view key,
-                       std::size_t fallback) {
+[[noreturn]] void fail(std::string_view reason) {
+  throw ProtocolError(std::string(reason));
+}
+
+[[noreturn]] void fail_mutation(ScenarioMutation::Op op,
+                                std::string_view why) {
+  fail("mutation " + std::string(kMutationOps[static_cast<std::size_t>(op)]) +
+       ' ' + std::string(why));
+}
+
+[[noreturn]] void fail_admin(AdminAction action, std::string_view why) {
+  fail("admin." + std::string(to_string(action)) + ' ' + std::string(why));
+}
+
+/// Refuses `value` (nullptr when absent) as naming no entry of an enum.
+[[noreturn]] void fail_unknown(std::string_view what, const JsonValue* value,
+                               const std::string& want) {
+  const std::string name = value == nullptr      ? ""
+                           : value->is_string() ? value->string
+                                                : json_text(*value);
+  fail("unknown " + std::string(what) + " '" + name + "' (want " + want +
+       ")");
+}
+
+// The typed member readers.  Each reads member `key` of `obj` and returns
+// `fallback` when it is absent.  A present member of the wrong JSON type is
+// refused, never read as absent.  Refusal text is composed only on the
+// failure path.
+
+/// An enum member, named by its wire name; a null `fallback` refuses an
+/// absent member too.
+template <typename Enum, std::size_t N>
+Enum enum_member(const JsonValue& obj, std::string_view key,
+                 std::optional<Enum> fallback,
+                 const std::array<const char*, N>& names,
+                 std::string_view what) {
+  const JsonValue* v = obj.get(key);
+  if (v == nullptr && fallback) return *fallback;
+  if (v != nullptr && v->is_string()) {
+    if (const std::optional<Enum> e = from_wire<Enum>(names, v->string)) {
+      return *e;
+    }
+  }
+  fail_unknown(what, v, want_list(names));
+}
+
+/// A string member: "<what> must be a string".
+std::string_view string_member(const JsonValue& obj, std::string_view key,
+                               std::string_view fallback,
+                               std::string_view what) {
+  const JsonValue* v = obj.get(key);
+  if (v == nullptr) return fallback;
+  if (!v->is_string()) fail(std::string(what) + " must be a string");
+  return v->string;
+}
+
+/// A count: an integer in [0, 2^53] (util::to_size).
+std::size_t count_member(const JsonValue& obj, std::string_view key,
+                         std::size_t fallback) {
   const JsonValue* v = obj.get(key);
   if (v == nullptr) return fallback;
   const std::optional<std::size_t> n = to_size(v, 0.0);
   if (!n) fail(std::string(key) + " must be a non-negative integer");
   return *n;
+}
+
+/// `v`'s number when it is a positive finite number.
+double require_positive(const JsonValue& v, std::string_view what) {
+  if (!v.is_number() || !(v.number > 0.0) || !std::isfinite(v.number)) {
+    fail(std::string(what) + " must be a positive finite number");
+  }
+  return v.number;
+}
+
+/// A positive finite number.
+double positive_member(const JsonValue& obj, std::string_view key,
+                       double fallback, std::string_view what) {
+  const JsonValue* v = obj.get(key);
+  return v == nullptr ? fallback : require_positive(*v, what);
+}
+
+/// A "seed": any integer in [0, 2^64), nullopt when absent.  Unlike counts,
+/// seeds above 2^53 are accepted (clients send them; the nearest double is
+/// the seed), but from 2^64 on — infinity included — the cast to
+/// std::uint64_t is undefined.
+std::optional<std::uint64_t> seed_member(const JsonValue& obj,
+                                         std::string_view what) {
+  constexpr double kTwoToThe64 = 18446744073709551616.0;
+  const JsonValue* v = obj.get("seed");
+  if (v == nullptr) return std::nullopt;
+  if (!v->is_number() || !(v->number >= 0.0) || !(v->number < kTwoToThe64) ||
+      v->number != std::floor(v->number)) {
+    fail(std::string(what) + " must be a non-negative integer");
+  }
+  return static_cast<std::uint64_t>(v->number);
+}
+
+/// "deadline_ms": non-negative finite milliseconds; 0 (none) when absent.
+double deadline_member(const JsonValue& doc) {
+  const JsonValue* d = doc.get("deadline_ms");
+  if (d == nullptr) return 0.0;
+  if (!d->is_number() || !(d->number >= 0.0) || !std::isfinite(d->number)) {
+    fail("deadline_ms must be a non-negative number");
+  }
+  return d->number;
 }
 
 std::vector<std::vector<double>> matrix_field(const JsonValue& obj,
@@ -56,6 +170,7 @@ std::vector<std::vector<double>> matrix_field(const JsonValue& obj,
   if (v == nullptr || !v->is_array()) {
     fail(std::string(key) + " must be an array of rows");
   }
+  const std::string entry = std::string(key) + " entry";
   std::vector<std::vector<double>> rows;
   rows.reserve(v->array.size());
   for (const JsonValue& row : v->array) {
@@ -66,8 +181,7 @@ std::vector<std::vector<double>> matrix_field(const JsonValue& obj,
       if (cell.kind == JsonValue::Kind::kNull) {
         out.push_back(kIneligible);  // null == task cannot run there
       } else if (cell.is_number()) {
-        out.push_back(require_positive(cell.number,
-                                       (std::string(key) + " entry").c_str()));
+        out.push_back(require_positive(cell, entry));
       } else {
         fail(std::string(key) + " entries must be numbers or null");
       }
@@ -89,27 +203,15 @@ ScenarioSpec parse_scenario(const JsonValue& doc, std::string_view key) {
     fail("request needs a \"" + std::string(key) + "\" scenario object");
   }
   ScenarioSpec spec;
-  spec.name = s->string_or("name", "");
-  if (const JsonValue* v = s->get("seed"); v != nullptr) {
-    const std::optional<std::uint64_t> seed = to_seed(v);
-    if (!seed) fail("scenario.seed must be a non-negative integer");
+  spec.name = string_member(*s, "name", "", "scenario.name");
+  if (const std::optional<std::uint64_t> seed =
+          seed_member(*s, "scenario.seed")) {
     spec.seed = *seed;
     spec.seed_set = true;
   }
-  if (spec.name == "dataset1" || spec.name == "dataset2" ||
-      spec.name == "dataset3") {
-    return spec;
-  }
-  if (spec.name == "custom") {
-    spec.tasks = size_field(*s, "tasks", spec.tasks);
-    spec.window_s = require_positive(s->number_or("window_s", spec.window_s),
-                                     "scenario.window_s");
-    if (spec.tasks == 0) fail("scenario.tasks must be >= 1");
-    return spec;
-  }
-  if (spec.name.empty() || spec.name == "inline") {
+  if (spec.name.empty()) spec.name = "inline";
+  if (spec.name == "inline") {
     // Inline system: ETC/EPC matrices are mandatory.
-    spec.name = "inline";
     spec.etc = matrix_field(*s, "etc");
     spec.epc = matrix_field(*s, "epc");
     if (spec.epc.size() != spec.etc.size() ||
@@ -128,113 +230,107 @@ ScenarioSpec parse_scenario(const JsonValue& doc, std::string_view key) {
         spec.machine_counts.push_back(*n);
       }
     }
-    spec.tasks = size_field(*s, "tasks", spec.tasks);
-    spec.window_s = require_positive(s->number_or("window_s", spec.window_s),
-                                     "scenario.window_s");
-    if (spec.tasks == 0) fail("scenario.tasks must be >= 1");
+  } else if (spec.name != "custom") {
+    // A named dataset, or a catalog alias: resolution against the server's
+    // loaded ScenarioCatalog happens later (resolve_scenario), so parsing
+    // stays catalog-independent.  Only the name and an optional seed
+    // override travel with either.
     return spec;
   }
-  // Any other non-empty name is a catalog alias: resolution against the
-  // server's loaded ScenarioCatalog happens later (resolve_scenario), so
-  // parsing stays catalog-independent.  Only the name and an optional seed
-  // override travel with an alias.
+  // The custom and inline trace shape.
+  spec.tasks = count_member(*s, "tasks", spec.tasks);
+  spec.window_s =
+      positive_member(*s, "window_s", spec.window_s, "scenario.window_s");
+  if (spec.tasks == 0) fail("scenario.tasks must be >= 1");
   return spec;
+}
+
+/// set-* and archive-cap's "value", an integer >= 1.
+std::size_t admin_value(const JsonValue& doc, AdminAction action) {
+  const std::optional<std::size_t> n = to_size(doc.get("value"), 1.0);
+  if (!n) fail_admin(action, "needs an integer \"value\" >= 1");
+  return *n;
+}
+
+std::vector<ScenarioRecipe> parse_catalog(const JsonValue& doc,
+                                          AdminAction action) {
+  const JsonValue* c = doc.get("catalog");
+  if (c == nullptr || !c->is_object()) {
+    fail_admin(action, "needs a \"catalog\" object");
+  }
+  const JsonValue* scenarios = c->get("scenarios");
+  if (scenarios == nullptr || !scenarios->is_array()) {
+    fail("catalog.scenarios must be an array");
+  }
+  std::vector<ScenarioRecipe> catalog;
+  for (const JsonValue& entry : scenarios->array) {
+    if (!entry.is_object()) fail("catalog.scenarios entries must be objects");
+    ScenarioRecipe recipe;
+    recipe.name = string_member(entry, "name", "", "catalog entry name");
+    if (recipe.name.empty()) fail("catalog entry needs a \"name\"");
+    recipe.base = string_member(entry, "base", "", "catalog entry base");
+    if (recipe.base.empty()) fail("catalog entry needs a \"base\"");
+    if (const std::optional<std::uint64_t> seed =
+            seed_member(entry, "catalog entry seed")) {
+      recipe.seed = *seed;
+    }
+    recipe.tasks = count_member(entry, "tasks", recipe.tasks);
+    recipe.window_s = positive_member(entry, "window_s", recipe.window_s,
+                                      "catalog entry window_s");
+    catalog.push_back(std::move(recipe));
+  }
+  return catalog;
 }
 
 AdminRequest parse_admin(const JsonValue& doc) {
   AdminRequest admin;
-  const std::string action = doc.string_or("action", "get-config");
-  if (action == "get-config") {
-    admin.action = AdminAction::kGetConfig;
-    return admin;
-  }
-  if (action == "set-queue-depth" || action == "set-cache-entries" ||
-      action == "set-workers") {
-    admin.action = action == "set-queue-depth" ? AdminAction::kSetQueueDepth
-                   : action == "set-cache-entries"
-                       ? AdminAction::kSetCacheEntries
-                       : AdminAction::kSetWorkers;
-    const std::optional<std::size_t> n = to_size(doc.get("value"), 1.0);
-    if (!n) fail("admin." + action + " needs an integer \"value\" >= 1");
-    admin.value = *n;
-    return admin;
-  }
-  if (action == "catalog-reload") {
-    admin.action = AdminAction::kCatalogReload;
-    const JsonValue* c = doc.get("catalog");
-    if (c == nullptr || !c->is_object()) {
-      fail("admin.catalog-reload needs a \"catalog\" object");
-    }
-    const JsonValue* scenarios = c->get("scenarios");
-    if (scenarios == nullptr || !scenarios->is_array()) {
-      fail("catalog.scenarios must be an array");
-    }
-    for (const JsonValue& entry : scenarios->array) {
-      if (!entry.is_object()) fail("catalog.scenarios entries must be objects");
-      ScenarioRecipe recipe;
-      recipe.name = entry.string_or("name", "");
-      recipe.base = entry.string_or("base", "");
-      if (recipe.name.empty()) fail("catalog entry needs a \"name\"");
-      if (recipe.base.empty()) fail("catalog entry needs a \"base\"");
-      if (const JsonValue* v = entry.get("seed"); v != nullptr) {
-        const std::optional<std::uint64_t> seed = to_seed(v);
-        if (!seed) fail("catalog entry seed must be a non-negative integer");
-        recipe.seed = *seed;
+  admin.action = enum_member<AdminAction>(
+      doc, "action", AdminAction::kGetConfig, kAdminActions, "admin action");
+  switch (admin.action) {
+    case AdminAction::kGetConfig:
+    case AdminAction::kArchiveStats:
+      break;
+    case AdminAction::kSetQueueDepth:
+    case AdminAction::kSetCacheEntries:
+    case AdminAction::kSetWorkers:
+      admin.value = admin_value(doc, admin.action);
+      break;
+    case AdminAction::kCatalogReload:
+      admin.catalog = parse_catalog(doc, admin.action);
+      break;
+    case AdminAction::kEnableBackend:
+    case AdminAction::kDisableBackend:
+      admin.name = string_member(doc, "name", "", "name");
+      if (admin.name.empty()) {
+        fail_admin(admin.action, "needs a backend \"name\"");
       }
-      recipe.tasks = size_field(entry, "tasks", recipe.tasks);
-      recipe.window_s = require_positive(
-          entry.number_or("window_s", recipe.window_s),
-          "catalog entry window_s");
-      admin.catalog.push_back(std::move(recipe));
+      break;
+    case AdminAction::kFleetReload: {
+      const JsonValue* f = doc.get("fleet");
+      if (f == nullptr || !f->is_object()) {
+        fail_admin(admin.action, "needs a \"fleet\" object");
+      }
+      admin.fleet = *f;  // validated by the router's fleet-config parser
+      break;
     }
-    return admin;
+    case AdminAction::kArchiveFlush:
+      // No name, or "", flushes every tenant.
+      admin.name = string_member(doc, "name", "", "name");
+      if (!admin.name.empty() && !tenant::valid_tenant_id(admin.name)) {
+        fail_admin(admin.action, "tenant name must match " +
+                                     std::string(kTenantPattern));
+      }
+      break;
+    case AdminAction::kArchiveCap:
+      admin.name = string_member(doc, "name", "", "name");
+      if (!tenant::valid_tenant_id(admin.name)) {
+        fail_admin(admin.action, "needs a tenant \"name\" matching " +
+                                     std::string(kTenantPattern));
+      }
+      admin.value = admin_value(doc, admin.action);
+      break;
   }
-  if (action == "enable-backend" || action == "disable-backend") {
-    admin.action = action == "enable-backend" ? AdminAction::kEnableBackend
-                                              : AdminAction::kDisableBackend;
-    admin.name = doc.string_or("name", "");
-    if (admin.name.empty()) {
-      fail("admin." + action + " needs a backend \"name\"");
-    }
-    return admin;
-  }
-  if (action == "fleet-reload") {
-    admin.action = AdminAction::kFleetReload;
-    const JsonValue* f = doc.get("fleet");
-    if (f == nullptr || !f->is_object()) {
-      fail("admin.fleet-reload needs a \"fleet\" object");
-    }
-    admin.fleet = *f;  // validated by the router's fleet-config parser
-    return admin;
-  }
-  if (action == "archive-stats") {
-    admin.action = AdminAction::kArchiveStats;
-    return admin;
-  }
-  if (action == "archive-flush") {
-    admin.action = AdminAction::kArchiveFlush;
-    admin.name = doc.string_or("name", "");
-    if (!admin.name.empty() && !tenant::valid_tenant_id(admin.name)) {
-      fail("admin.archive-flush tenant name must match [A-Za-z0-9._-]{1,64}");
-    }
-    return admin;
-  }
-  if (action == "archive-cap") {
-    admin.action = AdminAction::kArchiveCap;
-    admin.name = doc.string_or("name", "");
-    if (!tenant::valid_tenant_id(admin.name)) {
-      fail("admin.archive-cap needs a tenant \"name\" matching "
-           "[A-Za-z0-9._-]{1,64}");
-    }
-    const std::optional<std::size_t> n = to_size(doc.get("value"), 1.0);
-    if (!n) fail("admin.archive-cap needs an integer \"value\" >= 1");
-    admin.value = *n;
-    return admin;
-  }
-  fail("unknown admin action '" + action +
-       "' (want get-config|set-queue-depth|set-cache-entries|set-workers|"
-       "catalog-reload|enable-backend|disable-backend|fleet-reload|"
-       "archive-stats|archive-flush|archive-cap)");
+  return admin;
 }
 
 Nsga2Params parse_nsga2(const JsonValue& doc) {
@@ -242,17 +338,17 @@ Nsga2Params parse_nsga2(const JsonValue& doc) {
   const JsonValue* n = doc.get("nsga2");
   if (n == nullptr) return params;
   if (!n->is_object()) fail("\"nsga2\" must be an object");
-  params.population = size_field(*n, "population", params.population);
-  params.generations = size_field(*n, "generations", params.generations);
-  params.mutation_probability =
-      n->number_or("mutation_probability", params.mutation_probability);
+  params.population = count_member(*n, "population", params.population);
+  params.generations = count_member(*n, "generations", params.generations);
   if (params.population < 2 || params.population % 2 != 0) {
     fail("nsga2.population must be even and >= 2");
   }
   if (params.generations == 0) fail("nsga2.generations must be >= 1");
-  if (params.mutation_probability < 0.0 ||
-      params.mutation_probability > 1.0) {
-    fail("nsga2.mutation_probability must be in [0, 1]");
+  if (const JsonValue* p = n->get("mutation_probability"); p != nullptr) {
+    if (!p->is_number() || !(p->number >= 0.0 && p->number <= 1.0)) {
+      fail("nsga2.mutation_probability must be in [0, 1]");
+    }
+    params.mutation_probability = p->number;
   }
   if (const JsonValue* seeds = n->get("seeds"); seeds != nullptr) {
     if (!seeds->is_array()) fail("nsga2.seeds must be an array of names");
@@ -273,7 +369,7 @@ std::string parse_tenant(const JsonValue& doc, bool required) {
     return {};
   }
   if (!t->is_string() || !tenant::valid_tenant_id(t->string)) {
-    fail("tenant must be a string matching [A-Za-z0-9._-]{1,64}");
+    fail("tenant must be a string matching " + std::string(kTenantPattern));
   }
   return t->string;
 }
@@ -291,35 +387,64 @@ std::vector<ScenarioMutation> parse_mutations(const JsonValue& doc) {
   mutations.reserve(m->array.size());
   for (const JsonValue& entry : m->array) {
     if (!entry.is_object()) fail("delta.mutations entries must be objects");
-    const std::string op = entry.string_or("op", "");
     ScenarioMutation mut;
-    if (op == "add-tasks" || op == "remove-tasks") {
-      mut.op = op == "add-tasks" ? ScenarioMutation::Op::kAddTasks
-                                 : ScenarioMutation::Op::kRemoveTasks;
-      mut.count = size_field(entry, "count", 0);
-      if (mut.count == 0) fail("mutation " + op + " needs a \"count\" >= 1");
-    } else if (op == "set-window") {
-      mut.op = ScenarioMutation::Op::kSetWindow;
-      const JsonValue* w = entry.get("window_s");
-      if (w == nullptr || !w->is_number()) {
-        fail("mutation set-window needs a \"window_s\" number");
+    mut.op = enum_member<ScenarioMutation::Op>(entry, "op", std::nullopt,
+                                               kMutationOps, "mutation op");
+    switch (mut.op) {
+      case ScenarioMutation::Op::kAddTasks:
+      case ScenarioMutation::Op::kRemoveTasks:
+        mut.count = count_member(entry, "count", 0);
+        if (mut.count == 0) fail_mutation(mut.op, "needs a \"count\" >= 1");
+        break;
+      case ScenarioMutation::Op::kSetWindow: {
+        const JsonValue* w = entry.get("window_s");
+        if (w == nullptr || !w->is_number()) {
+          fail_mutation(mut.op, "needs a \"window_s\" number");
+        }
+        mut.window_s = require_positive(*w, "mutation window_s");
+        break;
       }
-      mut.window_s = require_positive(w->number, "mutation window_s");
-    } else if (op == "drop-machine") {
-      mut.op = ScenarioMutation::Op::kDropMachine;
-      const std::optional<std::size_t> n = to_size(entry.get("machine"), 0.0);
-      if (!n) {
-        fail("mutation drop-machine needs a non-negative integer "
-             "\"machine\" instance index");
+      case ScenarioMutation::Op::kDropMachine: {
+        const std::optional<std::size_t> n = to_size(entry.get("machine"), 0.0);
+        if (!n) {
+          fail_mutation(mut.op, "needs a non-negative integer \"machine\" "
+                                "instance index");
+        }
+        mut.machine = *n;
+        break;
       }
-      mut.machine = *n;
-    } else {
-      fail("unknown mutation op '" + op +
-           "' (want add-tasks|remove-tasks|set-window|drop-machine)");
     }
     mutations.push_back(mut);
   }
   return mutations;
+}
+
+/// An allocate's "mode": "heuristic:<slug>", "nsga2" or "pareto-query".
+void parse_mode(const JsonValue& doc, ServeRequest& request) {
+  const JsonValue* v = doc.get("mode");
+  const std::string_view mode =
+      v != nullptr && v->is_string() ? std::string_view(v->string) : "";
+  const std::string_view heuristic = to_string(ModeKind::kHeuristic);
+  if (mode.starts_with(heuristic) &&
+      mode.substr(heuristic.size()).starts_with(':')) {
+    const std::string_view slug = mode.substr(heuristic.size() + 1);
+    const std::optional<SeedHeuristic> h = heuristic_from_slug(slug);
+    if (!h) {
+      fail("unknown heuristic '" + std::string(slug) + "' (want " +
+           want_list(kHeuristicSlugs) + ")");
+    }
+    request.mode = ModeKind::kHeuristic;
+    request.heuristic = *h;
+    return;
+  }
+  const std::optional<ModeKind> m = from_wire<ModeKind>(kModes, mode);
+  if (!m || *m == ModeKind::kHeuristic) {
+    fail_unknown("mode", v,
+                 std::string(heuristic) + ":<name>|" +
+                     to_string(ModeKind::kNsga2) + '|' +
+                     to_string(ModeKind::kParetoQuery));
+  }
+  request.mode = *m;
 }
 
 ParetoQuery parse_query(const JsonValue& doc) {
@@ -329,10 +454,12 @@ ParetoQuery parse_query(const JsonValue& doc) {
   if (!q->is_object()) fail("\"query\" must be an object");
   if (const JsonValue* v = q->get("max_energy"); v != nullptr) {
     if (!v->is_number()) fail("query.max_energy must be a number");
-    query.max_energy = require_positive(v->number, "query.max_energy");
+    query.max_energy = require_positive(*v, "query.max_energy");
   }
   if (const JsonValue* v = q->get("min_utility"); v != nullptr) {
-    if (!v->is_number()) fail("query.min_utility must be a number");
+    if (!v->is_number() || !std::isfinite(v->number)) {
+      fail("query.min_utility must be a number");
+    }
     query.min_utility = v->number;
   }
   return query;
@@ -389,180 +516,77 @@ std::optional<std::string> FrameDecoder::next() {
 }
 
 const char* to_string(RequestKind k) noexcept {
-  switch (k) {
-    case RequestKind::kAllocate:
-      return "allocate";
-    case RequestKind::kDelta:
-      return "delta";
-    case RequestKind::kHealthz:
-      return "healthz";
-    case RequestKind::kMetricsz:
-      return "metricsz";
-    case RequestKind::kAdminz:
-      return "adminz";
-  }
-  return "?";
-}
-
-const char* to_string(AdminAction a) noexcept {
-  switch (a) {
-    case AdminAction::kGetConfig:
-      return "get-config";
-    case AdminAction::kSetQueueDepth:
-      return "set-queue-depth";
-    case AdminAction::kSetCacheEntries:
-      return "set-cache-entries";
-    case AdminAction::kSetWorkers:
-      return "set-workers";
-    case AdminAction::kCatalogReload:
-      return "catalog-reload";
-    case AdminAction::kEnableBackend:
-      return "enable-backend";
-    case AdminAction::kDisableBackend:
-      return "disable-backend";
-    case AdminAction::kFleetReload:
-      return "fleet-reload";
-    case AdminAction::kArchiveStats:
-      return "archive-stats";
-    case AdminAction::kArchiveFlush:
-      return "archive-flush";
-    case AdminAction::kArchiveCap:
-      return "archive-cap";
-  }
-  return "?";
+  return kRequestKinds[static_cast<std::size_t>(k)];
 }
 
 const char* to_string(ModeKind m) noexcept {
-  switch (m) {
-    case ModeKind::kHeuristic:
-      return "heuristic";
-    case ModeKind::kNsga2:
-      return "nsga2";
-    case ModeKind::kParetoQuery:
-      return "pareto-query";
-  }
-  return "?";
+  return kModes[static_cast<std::size_t>(m)];
+}
+
+const char* to_string(AdminAction a) noexcept {
+  return kAdminActions[static_cast<std::size_t>(a)];
 }
 
 const char* heuristic_slug(SeedHeuristic h) noexcept {
-  switch (h) {
-    case SeedHeuristic::kMinEnergy:
-      return "min-energy";
-    case SeedHeuristic::kMaxUtility:
-      return "max-utility";
-    case SeedHeuristic::kMaxUtilityPerEnergy:
-      return "max-utility-per-energy";
-    case SeedHeuristic::kMinMinCompletionTime:
-      return "min-min";
-  }
-  return "?";
+  return kHeuristicSlugs[static_cast<std::size_t>(h)];
+}
+
+std::optional<SeedHeuristic> heuristic_from_slug(
+    std::string_view slug) noexcept {
+  return from_wire<SeedHeuristic>(kHeuristicSlugs, slug);
 }
 
 std::string mode_label(const ServeRequest& request) {
   std::string mode{to_string(request.mode)};
   if (request.mode == ModeKind::kHeuristic) {
-    mode += std::string(":") + heuristic_slug(request.heuristic);
+    mode += ':';
+    mode += heuristic_slug(request.heuristic);
   }
   return mode;
-}
-
-std::optional<SeedHeuristic> heuristic_from_slug(
-    std::string_view slug) noexcept {
-  for (const SeedHeuristic h : all_seed_heuristics()) {
-    if (slug == heuristic_slug(h)) return h;
-  }
-  return std::nullopt;
 }
 
 ServeRequest parse_request(const util::JsonValue& doc) {
   if (!doc.is_object()) fail("request must be a JSON object");
   ServeRequest request;
-  request.id = doc.string_or("id", "");
-
-  const std::string type = doc.string_or("type", "allocate");
-  if (type == "healthz") {
-    request.kind = RequestKind::kHealthz;
-    return request;
-  }
-  if (type == "metricsz") {
-    request.kind = RequestKind::kMetricsz;
-    return request;
-  }
-  if (type == "adminz") {
-    request.kind = RequestKind::kAdminz;
-    request.admin = parse_admin(doc);
-    return request;
-  }
-  if (type == "delta") {
-    request.kind = RequestKind::kDelta;
-    // A delta is an nsga2-budget request for routing/capability purposes:
-    // repairing and polishing a front runs the same machinery.
-    request.mode = ModeKind::kNsga2;
-    request.tenant = parse_tenant(doc, /*required=*/true);
-    request.delta.base = parse_scenario(doc, "base");
-    if (request.delta.base.name == "inline") {
-      fail("delta.base cannot be an inline scenario (inline systems are "
-           "not archivable; name the scenario instead)");
-    }
-    request.delta.mutations = parse_mutations(doc);
-    request.delta.polish_generations =
-        size_field(doc, "polish_generations", 0);
-    if (const JsonValue* cf = doc.get("cold_fallback"); cf != nullptr) {
-      if (cf->kind != JsonValue::Kind::kBool) {
-        fail("cold_fallback must be a boolean");
+  request.id = string_member(doc, "id", "", "id");
+  request.kind = enum_member<RequestKind>(
+      doc, "type", RequestKind::kAllocate, kRequestKinds, "request type");
+  switch (request.kind) {
+    case RequestKind::kHealthz:
+    case RequestKind::kMetricsz:
+      return request;
+    case RequestKind::kAdminz:
+      request.admin = parse_admin(doc);
+      return request;
+    case RequestKind::kDelta:
+      // A delta is an nsga2-budget request for routing/capability purposes:
+      // repairing and polishing a front runs the same machinery.
+      request.mode = ModeKind::kNsga2;
+      request.tenant = parse_tenant(doc, /*required=*/true);
+      request.delta.base = parse_scenario(doc, "base");
+      if (request.delta.base.name == "inline") {
+        fail("delta.base cannot be an inline scenario (inline systems are "
+             "not archivable; name the scenario instead)");
       }
-      request.delta.cold_fallback = cf->boolean;
-    }
-    request.nsga2 = parse_nsga2(doc);
-    if (const JsonValue* d = doc.get("deadline_ms"); d != nullptr) {
-      if (!d->is_number() || d->number < 0.0) {
-        fail("deadline_ms must be a non-negative number");
+      request.delta.mutations = parse_mutations(doc);
+      request.delta.polish_generations =
+          count_member(doc, "polish_generations", 0);
+      if (const JsonValue* cf = doc.get("cold_fallback"); cf != nullptr) {
+        if (cf->kind != JsonValue::Kind::kBool) {
+          fail("cold_fallback must be a boolean");
+        }
+        request.delta.cold_fallback = cf->boolean;
       }
-      request.deadline_ms = d->number;
-    }
-    return request;
+      break;
+    case RequestKind::kAllocate:
+      request.tenant = parse_tenant(doc, /*required=*/false);
+      parse_mode(doc, request);
+      request.scenario = parse_scenario(doc, "scenario");
+      break;
   }
-  if (type != "allocate") {
-    fail("unknown request type '" + type +
-         "' (want allocate|delta|healthz|metricsz|adminz)");
-  }
-  request.kind = RequestKind::kAllocate;
-  request.tenant = parse_tenant(doc, /*required=*/false);
-
-  const std::string mode = doc.string_or("mode", "");
-  constexpr std::string_view kHeuristicPrefix = "heuristic:";
-  if (mode.rfind(kHeuristicPrefix, 0) == 0) {
-    request.mode = ModeKind::kHeuristic;
-    const std::string slug = mode.substr(kHeuristicPrefix.size());
-    const auto h = heuristic_from_slug(slug);
-    if (!h) {
-      std::string known;
-      for (const SeedHeuristic k : all_seed_heuristics()) {
-        if (!known.empty()) known += '|';
-        known += heuristic_slug(k);
-      }
-      fail("unknown heuristic '" + slug + "' (want " + known + ")");
-    }
-    request.heuristic = *h;
-  } else if (mode == "nsga2") {
-    request.mode = ModeKind::kNsga2;
-  } else if (mode == "pareto-query") {
-    request.mode = ModeKind::kParetoQuery;
-  } else {
-    fail("unknown mode '" + mode +
-         "' (want heuristic:<name>|nsga2|pareto-query)");
-  }
-
-  request.scenario = parse_scenario(doc, "scenario");
   request.nsga2 = parse_nsga2(doc);
-  request.query = parse_query(doc);
-
-  if (const JsonValue* d = doc.get("deadline_ms"); d != nullptr) {
-    if (!d->is_number() || d->number < 0.0) {
-      fail("deadline_ms must be a non-negative number");
-    }
-    request.deadline_ms = d->number;
-  }
+  if (request.kind == RequestKind::kAllocate) request.query = parse_query(doc);
+  request.deadline_ms = deadline_member(doc);
   return request;
 }
 
@@ -612,37 +636,32 @@ ScenarioSpec apply_mutations(const ScenarioSpec& base,
                              const std::vector<ScenarioMutation>& mutations) {
   ScenarioSpec spec = base;
   for (const ScenarioMutation& m : mutations) {
+    if (m.op != ScenarioMutation::Op::kDropMachine && spec.name != "custom") {
+      fail_mutation(m.op, m.op == ScenarioMutation::Op::kSetWindow
+                              ? "applies only to custom scenarios (the "
+                                "datasets' windows are fixed)"
+                              : "applies only to custom scenarios (the "
+                                "datasets' traces are fixed)");
+    }
     switch (m.op) {
       case ScenarioMutation::Op::kAddTasks:
-        if (spec.name != "custom") {
-          fail("mutation add-tasks applies only to custom scenarios (the "
-               "datasets' traces are fixed)");
-        }
         spec.tasks += m.count;
         break;
       case ScenarioMutation::Op::kRemoveTasks:
-        if (spec.name != "custom") {
-          fail("mutation remove-tasks applies only to custom scenarios (the "
-               "datasets' traces are fixed)");
-        }
         if (m.count >= spec.tasks) {
-          fail("mutation remove-tasks would leave the trace empty");
+          fail_mutation(m.op, "would leave the trace empty");
         }
         spec.tasks -= m.count;
         break;
       case ScenarioMutation::Op::kSetWindow:
-        if (spec.name != "custom") {
-          fail("mutation set-window applies only to custom scenarios (the "
-               "datasets' windows are fixed)");
-        }
         spec.window_s = m.window_s;
         break;
       case ScenarioMutation::Op::kDropMachine:
-        for (const std::size_t d : spec.dropped_machines) {
-          if (d == m.machine) {
-            fail("mutation drop-machine lists machine " +
-                 std::to_string(m.machine) + " twice");
-          }
+        if (std::find(spec.dropped_machines.begin(),
+                      spec.dropped_machines.end(),
+                      m.machine) != spec.dropped_machines.end()) {
+          fail_mutation(m.op, "lists machine " + std::to_string(m.machine) +
+                                  " twice");
         }
         spec.dropped_machines.push_back(m.machine);
         break;
@@ -652,27 +671,10 @@ ScenarioSpec apply_mutations(const ScenarioSpec& base,
   return spec;
 }
 
-namespace {
-
-/// The "nsga2" budget object shared by allocate and delta rendering.
-JsonObject render_nsga2_object(const Nsga2Params& n) {
-  JsonObject nsga2;
-  nsga2.field("population", static_cast<std::uint64_t>(n.population));
-  nsga2.field("generations", static_cast<std::uint64_t>(n.generations));
-  nsga2.field("mutation_probability", n.mutation_probability);
-  std::string seeds = "[";
-  for (const SeedHeuristic h : n.seeds) {
-    if (seeds.size() > 1) seeds += ',';
-    seeds += '"';
-    seeds += heuristic_slug(h);
-    seeds += '"';
-  }
-  seeds += ']';
-  nsga2.raw("seeds", seeds);
-  return nsga2;
-}
-
-JsonObject render_scenario_object(const ScenarioSpec& spec) {
+std::string with_resolved_scenario(std::string_view payload,
+                                   const ServeRequest& request) {
+  const bool delta = request.kind == RequestKind::kDelta;
+  const ScenarioSpec& spec = delta ? request.delta.base : request.scenario;
   JsonObject scenario;
   scenario.field("name", spec.name);
   if (spec.seed_set) {
@@ -682,84 +684,9 @@ JsonObject render_scenario_object(const ScenarioSpec& spec) {
     scenario.field("tasks", static_cast<std::uint64_t>(spec.tasks));
     scenario.field("window_s", spec.window_s);
   }
-  return scenario;
-}
-
-}  // namespace
-
-std::string render_allocate_request(const ServeRequest& request) {
-  if (request.kind != RequestKind::kAllocate) {
-    fail("render_allocate_request wants an allocate request");
-  }
-  if (request.scenario.name == "inline") {
-    fail("render_allocate_request does not support inline scenarios");
-  }
-  JsonObject o;
-  o.field("type", "allocate");
-  if (!request.id.empty()) o.field("id", request.id);
-  if (!request.tenant.empty()) o.field("tenant", request.tenant);
-  o.field("mode", mode_label(request));
-  o.raw("scenario", render_scenario_object(request.scenario).str());
-  if (request.mode != ModeKind::kHeuristic) {
-    o.raw("nsga2", render_nsga2_object(request.nsga2).str());
-  }
-  if (request.mode == ModeKind::kParetoQuery) {
-    JsonObject query;
-    if (request.query.max_energy) {
-      query.field("max_energy", *request.query.max_energy);
-    }
-    if (request.query.min_utility) {
-      query.field("min_utility", *request.query.min_utility);
-    }
-    o.raw("query", query.str());
-  }
-  if (request.deadline_ms > 0.0) o.field("deadline_ms", request.deadline_ms);
-  return o.str();
-}
-
-std::string render_delta_request(const ServeRequest& request) {
-  if (request.kind != RequestKind::kDelta) {
-    fail("render_delta_request wants a delta request");
-  }
-  JsonObject o;
-  o.field("type", "delta");
-  if (!request.id.empty()) o.field("id", request.id);
-  o.field("tenant", request.tenant);
-  o.raw("base", render_scenario_object(request.delta.base).str());
-  std::string mutations = "[";
-  for (const ScenarioMutation& m : request.delta.mutations) {
-    JsonObject mut;
-    switch (m.op) {
-      case ScenarioMutation::Op::kAddTasks:
-        mut.field("op", "add-tasks");
-        mut.field("count", static_cast<std::uint64_t>(m.count));
-        break;
-      case ScenarioMutation::Op::kRemoveTasks:
-        mut.field("op", "remove-tasks");
-        mut.field("count", static_cast<std::uint64_t>(m.count));
-        break;
-      case ScenarioMutation::Op::kSetWindow:
-        mut.field("op", "set-window");
-        mut.field("window_s", m.window_s);
-        break;
-      case ScenarioMutation::Op::kDropMachine:
-        mut.field("op", "drop-machine");
-        mut.field("machine", static_cast<std::uint64_t>(m.machine));
-        break;
-    }
-    if (mutations.size() > 1) mutations += ',';
-    mutations += mut.str();
-  }
-  mutations += ']';
-  o.raw("mutations", mutations);
-  if (request.delta.polish_generations > 0) {
-    o.field("polish_generations",
-            static_cast<std::uint64_t>(request.delta.polish_generations));
-  }
-  if (!request.delta.cold_fallback) o.field("cold_fallback", false);
-  o.raw("nsga2", render_nsga2_object(request.nsga2).str());
-  if (request.deadline_ms > 0.0) o.field("deadline_ms", request.deadline_ms);
-  return o.str();
+  JsonValue doc = util::parse_json(payload);
+  doc.object[delta ? "base" : "scenario"] = util::parse_json(scenario.str());
+  return json_text(doc);
 }
 
 std::string scenario_fingerprint(const ScenarioSpec& s) {

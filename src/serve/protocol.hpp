@@ -19,7 +19,9 @@
 // set-cache-entries, set-workers, catalog-reload, and the archive plane
 // (archive-stats, archive-flush, archive-cap).  docs/serving.md documents
 // the full schema with examples; parse_request enforces it and throws
-// ProtocolError (with a human-readable reason) on any violation.
+// ProtocolError (with a human-readable reason) on any violation.  A member
+// of the wrong JSON type is a violation, never read as absent; a number
+// read as a value must be finite; unknown members are ignored.
 
 #include <cstddef>
 #include <cstdint>
@@ -238,19 +240,14 @@ bool resolve_request_scenario(ServeRequest& request,
 [[nodiscard]] ScenarioSpec apply_mutations(
     const ScenarioSpec& base, const std::vector<ScenarioMutation>& mutations);
 
-/// Serializes an allocate request back into a protocol document that
-/// parse_request accepts and that round-trips every result-determining
-/// field.  The router uses it to forward alias requests with the scenario
-/// already resolved (backends need no catalog); inline systems are not
-/// supported (the router forwards those payloads verbatim — an alias can
-/// never resolve to one).  Throws ProtocolError on a non-allocate or
-/// inline-scenario request.
-[[nodiscard]] std::string render_allocate_request(const ServeRequest& request);
-
-/// render_allocate_request's sibling for delta requests: serializes the
-/// (resolved-base) delta back into a document parse_request accepts.  The
-/// router uses it to forward a delta whose base was a catalog alias.
-[[nodiscard]] std::string render_delta_request(const ServeRequest& request);
+/// The client's request document `payload` with its scenario ("scenario",
+/// or a delta's "base") replaced by `request`'s resolved one.  Every other
+/// member keeps its value, unknown ones included; json_text writes them,
+/// so keys come out sorted and numbers in shortest form.  The router
+/// forwards aliased requests this way, because backends carry no catalog.
+/// `payload` must parse; a resolved alias names a dataset or "custom".
+[[nodiscard]] std::string with_resolved_scenario(std::string_view payload,
+                                                 const ServeRequest& request);
 
 /// The request's mode as the wire spells it: "nsga2", "pareto-query" or
 /// "heuristic:<name>".

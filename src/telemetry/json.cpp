@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "util/json_value.hpp"
+
 namespace eus {
 
 std::string json_escape(std::string_view text) {
@@ -40,6 +42,37 @@ std::string json_number(double value) {
       std::to_chars(buf.data(), buf.data() + buf.size(), value);
   if (ec != std::errc()) return "null";
   return std::string(buf.data(), ptr);
+}
+
+std::string json_text(const util::JsonValue& value) {
+  using Kind = util::JsonValue::Kind;
+  switch (value.kind) {
+    case Kind::kNull:
+      return "null";
+    case Kind::kBool:
+      return value.boolean ? "true" : "false";
+    case Kind::kNumber:
+      return json_number(value.number);
+    case Kind::kString:
+      return '"' + json_escape(value.string) + '"';
+    case Kind::kArray: {
+      std::string out = "[";
+      for (const util::JsonValue& element : value.array) {
+        if (out.size() > 1) out += ',';
+        out += json_text(element);
+      }
+      return out + ']';
+    }
+    case Kind::kObject: {
+      std::string out = "{";
+      for (const auto& [key, member] : value.object) {
+        if (out.size() > 1) out += ',';
+        out += '"' + json_escape(key) + "\":" + json_text(member);
+      }
+      return out + '}';
+    }
+  }
+  return "null";
 }
 
 void JsonObject::key(std::string_view k) {

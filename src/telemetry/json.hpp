@@ -1,8 +1,9 @@
 #pragma once
 
 // Minimal JSON emission for the telemetry layer: enough to write flat run
-// records as JSON Lines, no parsing, no dependencies.  Numbers round-trip
-// (max_digits10); non-finite doubles degrade to null per RFC 8259.
+// records as JSON Lines, plus json_text to write a parsed util::JsonValue
+// back out.  Numbers round-trip (shortest round-trip decimal); non-finite
+// doubles degrade to null per RFC 8259.
 
 #include <cstdint>
 #include <string>
@@ -10,11 +11,19 @@
 
 namespace eus {
 
+namespace util {
+class JsonValue;
+}  // namespace util
+
 /// Escapes `text` for use inside a JSON string literal (no quotes added).
 [[nodiscard]] std::string json_escape(std::string_view text);
 
 /// Shortest round-trip decimal for a double; "null" for NaN/infinity.
 [[nodiscard]] std::string json_number(double value);
+
+/// The JSON text of a parsed value, objects in key order.  Parsing it back
+/// gives an equal value (a non-finite number comes back as null).
+[[nodiscard]] std::string json_text(const util::JsonValue& value);
 
 /// Incremental builder for one flat JSON object: {"k":v,...}.  Values are
 /// escaped/formatted; raw() splices a pre-rendered JSON value (for nested

@@ -1,8 +1,9 @@
 // End-to-end delta / warm-start serving tests over loopback: the
 // allocate-then-delta warm round trip, the 404 unknown-base path, protocol
-// rejections, the archive admin verbs, and the checkpoint lifecycle —
-// SIGTERM drain writes the archive, a restarted runtime reloads it and
-// answers the next delta warm, and a corrupt checkpoint cold-starts.
+// rejections, the archive admin verbs (a wrong-typed flush name flushes
+// nothing), and the checkpoint lifecycle — SIGTERM drain writes the
+// archive, a restarted runtime reloads it and answers the next delta warm,
+// and a corrupt checkpoint cold-starts.
 
 #include <gtest/gtest.h>
 
@@ -207,6 +208,30 @@ TEST(ServeDelta, ArchiveAdminVerbsOverLoopback) {
   const util::JsonValue empty_stats =
       one_shot(port, R"({"type":"adminz","action":"archive-stats"})");
   EXPECT_EQ(empty_stats.number_or("entries", -1.0), 0.0);
+
+  runtime.halt();
+}
+
+TEST(ServeDelta, ArchiveFlushWithANonStringNameFlushesNothing) {
+  RuntimeConfig config;
+  ServeRuntime runtime(config);
+  runtime.boot();
+  const std::uint16_t port = runtime.server().port();
+  ASSERT_EQ(code_of(one_shot(port, allocate_request("acme"))), kCodeOk);
+
+  // A name of the wrong type is refused, not read as "every tenant".
+  const util::JsonValue flush = one_shot(
+      port, R"({"type":"adminz","action":"archive-flush","name":7})");
+  EXPECT_EQ(code_of(flush), kCodeBadRequest);
+
+  const util::JsonValue stats =
+      one_shot(port, R"({"type":"adminz","action":"archive-stats"})");
+  ASSERT_EQ(code_of(stats), kCodeOk);
+  ASSERT_NE(stats.get("per_tenant"), nullptr);
+  ASSERT_EQ(stats.get("per_tenant")->array.size(), 1U);
+  EXPECT_EQ(stats.get("per_tenant")->array[0].string_or("tenant", ""),
+            "acme");
+  EXPECT_GE(stats.number_or("entries", 0.0), 1.0);
 
   runtime.halt();
 }

@@ -10,6 +10,7 @@
 
 #include "telemetry/json.hpp"
 #include "telemetry/run_recorder.hpp"
+#include "util/json_value.hpp"
 
 namespace eus {
 namespace {
@@ -38,6 +39,19 @@ TEST(Json, ObjectBuilder) {
       .field("b", true)
       .raw("a", "[1,2]");
   EXPECT_EQ(o.str(), R"({"s":"x\"y","d":2.5,"u":7,"b":true,"a":[1,2]})");
+}
+
+TEST(Json, TextWritesParsedValuesBack) {
+  const util::JsonValue doc = util::parse_json(
+      R"({"b":[1,-0.5,1e300,true,null,{}],"a":"q\"\\\n\u00e9",)"
+      R"("c":{"z":[],"y":9007199254740993}})");
+  // Objects come out in key order, strings re-escaped, numbers shortest.
+  EXPECT_EQ(json_text(doc), R"({"a":"q\"\\\n)"
+                            "\xc3\xa9"
+                            R"(","b":[1,-0.5,1e+300,true,null,{}],)"
+                            R"("c":{"y":9007199254740992,"z":[]}})");
+  EXPECT_EQ(json_text(util::parse_json(json_text(doc))), json_text(doc));
+  EXPECT_EQ(json_text(util::parse_json("1e400")), "null");
 }
 
 TEST(Metrics, CounterGaugeTimer) {
