@@ -208,11 +208,7 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
   } else if (argc > 1 && std::string(argv[1]) == "admin") {
     opts.admin = true;
     if (argc < 3 || argv[2][0] == '-') {
-      std::cerr << "eus_client: admin needs a verb (get-config|"
-                   "set-queue-depth|set-cache-entries|set-workers|"
-                   "catalog-reload|enable-backend|disable-backend|"
-                   "fleet-reload|archive-stats|archive-flush|"
-                   "archive-cap)\n";
+      std::cerr << "eus_client: admin needs a verb\n";
       return std::nullopt;
     }
     opts.admin_action = argv[2];
@@ -407,35 +403,9 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
     return std::nullopt;
   }
   if (opts.admin) {
+    // The verb, its value and its name are checked by the protocol's own
+    // parser once the request is built (build_admin_request).
     const std::string& verb = opts.admin_action;
-    const bool is_set = verb == "set-queue-depth" ||
-                        verb == "set-cache-entries" || verb == "set-workers";
-    const bool is_backend =
-        verb == "enable-backend" || verb == "disable-backend";
-    if (verb != "get-config" && verb != "catalog-reload" &&
-        verb != "fleet-reload" && verb != "archive-stats" &&
-        verb != "archive-flush" && verb != "archive-cap" && !is_set &&
-        !is_backend) {
-      std::cerr << "eus_client: unknown admin verb '" << verb << "'\n";
-      return std::nullopt;
-    }
-    if (is_set && (!opts.admin_value || *opts.admin_value == 0)) {
-      std::cerr << "eus_client: admin " << verb
-                << " needs an integer value >= 1\n";
-      return std::nullopt;
-    }
-    if (verb == "archive-cap" &&
-        (opts.admin_name.empty() || !opts.admin_value ||
-         *opts.admin_value == 0)) {
-      std::cerr << "eus_client: admin archive-cap needs a tenant name and "
-                   "an integer cap >= 1\n";
-      return std::nullopt;
-    }
-    if (is_backend && opts.admin_name.empty()) {
-      std::cerr << "eus_client: admin " << verb
-                << " needs a backend name\n";
-      return std::nullopt;
-    }
     if (verb == "catalog-reload" && !opts.catalog_path) {
       std::cerr << "eus_client: admin catalog-reload needs --catalog "
                    "<file>\n";
@@ -450,7 +420,8 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
 }
 
 /// Renders the adminz request; nullopt (after printing the reason) when
-/// the catalog file cannot be read or is not JSON.
+/// the catalog or fleet file cannot be read or is not JSON, or when the
+/// protocol's parser refuses the request.
 std::optional<std::string> build_admin_request(const CliOptions& opts) {
   JsonObject o;
   o.field("type", "adminz");
@@ -485,6 +456,12 @@ std::optional<std::string> build_admin_request(const CliOptions& opts) {
     return std::nullopt;
   }
   if (opts.fleet_path && !splice_file(*opts.fleet_path, "fleet", "fleet")) {
+    return std::nullopt;
+  }
+  try {
+    (void)parse_request_text(o.str());
+  } catch (const ProtocolError& e) {
+    std::cerr << "eus_client: " << e.what() << '\n';
     return std::nullopt;
   }
   return o.str();
