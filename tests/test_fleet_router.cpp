@@ -6,7 +6,8 @@
 // and probe-driven recovery, enable/disable and fleet-reload through the
 // adminz wire, router-side alias resolution (aliased allocates and deltas
 // forwarded with every member) and catalog reloads, framing errors, the
-// request log, drain semantics, and the routing-policy unit surface.
+// request log and the statuses it and the counters read from relayed
+// answers, drain semantics, and the routing-policy unit surface.
 
 #include <gtest/gtest.h>
 
@@ -588,6 +589,58 @@ TEST(FleetRouter, RequestLogRecordsEachRoutedRequest) {
     EXPECT_GE(record.number_or("total_ms", -1.0), 0.0);
     EXPECT_GE(record.number_or("t_s", -1.0), 0.0);
   }
+  std::remove(log_path.c_str());
+}
+
+TEST(FleetRouter, RoutedStatusesAreCountedAndLogged) {
+  const std::string log_path =
+      testing::TempDir() + "/eus_fleet_routed_status_test.jsonl";
+  std::remove(log_path.c_str());
+  {
+    serve::RequestLog log(log_path);
+    FleetHarness fleet(2, RoutePolicy::kMinMin,
+                       [&](RouterConfig& config) { config.log = &log; });
+    const std::uint64_t ok_before = fleet.fleet_counter("responses_ok");
+    const std::uint64_t errors_before = fleet.fleet_counter("errors");
+
+    // A cold allocate, the same request again (a front-cache hit), and a
+    // query on that front which no point satisfies: the router relays all
+    // three and reads each status from the backend's answer.
+    const std::string request = nsga2_request(67);
+    EXPECT_EQ(code_of(one_shot(fleet.router->port(), request)),
+              serve::kCodeOk);
+    const util::JsonValue hit = one_shot(fleet.router->port(), request);
+    EXPECT_EQ(code_of(hit), serve::kCodeOk);
+    EXPECT_EQ(hit.string_or("cache", ""), "hit");
+    const std::string query =
+        R"({"type":"allocate","mode":"pareto-query","scenario":)"
+        R"({"name":"custom","tasks":10,"window_s":30,"seed":67},)"
+        R"("nsga2":{"population":8,"generations":4,)"
+        R"("seeds":["min-energy"]},"query":{"max_energy":1}})";
+    EXPECT_EQ(code_of(one_shot(fleet.router->port(), query)),
+              serve::kCodeUnsatisfiable);
+
+    EXPECT_EQ(fleet.fleet_counter("responses_ok") - ok_before, 2U);
+    EXPECT_EQ(fleet.fleet_counter("errors") - errors_before, 1U);
+  }
+
+  std::ifstream in(log_path);
+  std::vector<util::JsonValue> routed;
+  for (std::string line; std::getline(in, line);) {
+    util::JsonValue record = util::parse_json(line);
+    if (record.string_or("type", "") == "fleet_request") {
+      routed.push_back(std::move(record));
+    }
+  }
+  ASSERT_EQ(routed.size(), 3U);
+  const int codes[] = {serve::kCodeOk, serve::kCodeOk,
+                       serve::kCodeUnsatisfiable};
+  for (std::size_t i = 0; i < routed.size(); ++i) {
+    EXPECT_EQ(code_of(routed[i]), codes[i]) << i;
+    const std::string backend = routed[i].string_or("backend", "");
+    EXPECT_TRUE(backend == "b1" || backend == "b2") << i << ": " << backend;
+  }
+  EXPECT_EQ(routed[2].string_or("mode", ""), "pareto-query");
   std::remove(log_path.c_str());
 }
 
