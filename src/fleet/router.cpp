@@ -7,7 +7,6 @@
 
 #include "serve/handlers.hpp"
 #include "telemetry/json.hpp"
-#include "util/json_value.hpp"
 
 namespace eus::fleet {
 
@@ -30,17 +29,6 @@ bool same_config(const BackendConfig& a, const BackendConfig& b) {
          a.capabilities == b.capabilities &&
          a.speed_factor == b.speed_factor && a.watts == b.watts &&
          a.max_in_flight == b.max_in_flight;
-}
-
-/// The status code a forwarded response carries (the router relays the
-/// payload verbatim but still classifies it for metrics and the log).
-int response_code(const std::string& payload) noexcept {
-  try {
-    const util::JsonValue doc = util::parse_json(payload);
-    return static_cast<int>(doc.number_or("code", kCodeOk));
-  } catch (const std::exception&) {
-    return kCodeInternal;
-  }
 }
 
 std::int64_t now_ns() noexcept {
@@ -234,7 +222,9 @@ std::string Router::route(serve::ServeRequest request,
     }
     std::optional<std::string> response = forward(backend, forward_payload);
     if (!response.has_value()) continue;
-    const int code = response_code(*response);
+    // Relayed verbatim; only the envelope's status is read, for metrics and
+    // the log.
+    const int code = serve::response_status(*response);
     if (code == kCodeOk || code == serve::kCodePartial) {
       metric_responses_ok_->add();
     } else {

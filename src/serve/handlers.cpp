@@ -1,7 +1,9 @@
 #include "serve/handlers.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <exception>
+#include <limits>
 #include <utility>
 
 #include "core/nsga2.hpp"
@@ -197,6 +199,151 @@ std::string error_payload(std::string_view id, int code,
   JsonObject o = response_envelope(id, status, code);
   o.field("error", message);
   return o.str();
+}
+
+namespace {
+
+/// A cursor over a response document for response_status.  Each skip moves
+/// past one token or value and returns false when the text ends before it
+/// does.
+class EnvelopeScan {
+ public:
+  explicit EnvelopeScan(std::string_view text) : text_(text) {}
+
+  [[nodiscard]] bool at(char c) const noexcept {
+    return pos_ < text_.size() && text_[pos_] == c;
+  }
+  [[nodiscard]] bool at_end() const noexcept { return pos_ >= text_.size(); }
+
+  void skip_space() noexcept {
+    while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
+  }
+
+  bool skip_value() noexcept {
+    if (at('"')) return skip_string();
+    if (at('{') || at('[')) return skip_nested();
+    return skip_scalar();
+  }
+
+  /// Walks the members of the object opening at the cursor and leaves the
+  /// last "code" member's value text in `code` (empty when there is none).
+  bool skip_object(std::string_view& code) noexcept {
+    ++pos_;  // '{'
+    skip_space();
+    if (at('}')) {
+      ++pos_;
+      return true;
+    }
+    while (true) {
+      skip_space();
+      const std::size_t key = pos_;
+      if (!at('"') || !skip_value()) return false;
+      const bool is_code = text_.substr(key, pos_ - key) == "\"code\"";
+      skip_space();
+      if (!at(':')) return false;
+      ++pos_;
+      skip_space();
+      const std::size_t value = pos_;
+      if (!skip_value()) return false;
+      if (is_code) code = text_.substr(value, pos_ - value);
+      skip_space();
+      if (at('}')) {
+        ++pos_;
+        return true;
+      }
+      if (!at(',')) return false;
+      ++pos_;
+    }
+  }
+
+ private:
+  static bool is_space(char c) noexcept {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+  }
+
+  /// An escape's backslash takes the byte after it along, so an escaped
+  /// quote never closes the string.
+  bool skip_string() noexcept {
+    for (++pos_; pos_ < text_.size(); ++pos_) {
+      if (text_[pos_] == '"') {
+        ++pos_;
+        return true;
+      }
+      if (text_[pos_] == '\\') ++pos_;
+    }
+    return false;
+  }
+
+  /// A nested object or array closes where the bracket depth, counted
+  /// outside strings, returns to zero.
+  bool skip_nested() noexcept {
+    std::size_t depth = 0;
+    while (pos_ < text_.size()) {
+      if (text_[pos_] == '"') {
+        if (!skip_string()) return false;
+        continue;
+      }
+      const char c = text_[pos_++];
+      if (c == '{' || c == '[') {
+        ++depth;
+      } else if ((c == '}' || c == ']') && --depth == 0) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// A number or literal runs to the next structural byte or whitespace.
+  bool skip_scalar() noexcept {
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() && !is_space(text_[pos_]) &&
+           std::string_view(",:{}[]\"").find(text_[pos_]) ==
+               std::string_view::npos) {
+      ++pos_;
+    }
+    return pos_ > start;
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
+
+/// The status a top-level "code" value spells.  util::parse_json reads a
+/// value opening with anything but a quote, bracket or literal letter as a
+/// number token of the bytes -+.0-9eE, which strtod must consume whole.
+int code_status(std::string_view value) {
+  if (std::string_view("\"{[tfn").find(value.front()) !=
+      std::string_view::npos) {
+    return kCodeOk;
+  }
+  if (value.find_first_not_of("+-.0123456789eE") != std::string_view::npos) {
+    return kCodeInternal;
+  }
+  // Copied only to end it with a NUL for strtod; an int's digits fit the
+  // string's inline buffer.
+  const std::string token(value);
+  char* end = nullptr;
+  const double code = std::strtod(token.c_str(), &end);
+  constexpr double kBelow = std::numeric_limits<int>::min() - 1.0;
+  constexpr double kAbove = std::numeric_limits<int>::max() + 1.0;
+  if (end != token.c_str() + token.size() || !(code > kBelow) ||
+      !(code < kAbove)) {
+    return kCodeInternal;
+  }
+  return static_cast<int>(code);
+}
+
+}  // namespace
+
+int response_status(std::string_view payload) {
+  EnvelopeScan scan(payload);
+  scan.skip_space();
+  std::string_view code;
+  const bool closed =
+      scan.at('{') ? scan.skip_object(code) : scan.skip_value();
+  scan.skip_space();
+  if (!closed || !scan.at_end()) return kCodeInternal;
+  return code.empty() ? kCodeOk : code_status(code);
 }
 
 namespace {

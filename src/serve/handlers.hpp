@@ -69,6 +69,20 @@ struct HandleResult {
 [[nodiscard]] JsonObject response_envelope(std::string_view id,
                                            std::string_view status, int code);
 
+/// The status code of a response document, read from its envelope without
+/// building the document: the router relays a backend's answer verbatim
+/// and classifies it by this alone.  One walk over the top-level value
+/// skips strings (escapes included), nested objects and arrays (by bracket
+/// depth), numbers and literals, and reads "code" only as a member of the
+/// top-level object (the last one, as parsing keeps it; the key is matched
+/// as written, unescaped).  A code that is a number within int range
+/// answers itself, read with strtod as util::parse_json reads it.  A
+/// missing or non-number code, or a complete non-object document, answers
+/// kCodeOk.  A number out of int range, an unclosed string or bracket, or
+/// bytes after the value answer kCodeInternal.  The spelling of skipped
+/// numbers and literals is not checked.
+[[nodiscard]] int response_status(std::string_view payload);
+
 /// Builds the canonical error/overload payload (also used by the daemons
 /// for framing errors and backpressure, where no handler ever runs).
 [[nodiscard]] std::string error_payload(std::string_view id, int code,

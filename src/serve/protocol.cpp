@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <optional>
-#include <sstream>
 
 #include "data/types.hpp"
 #include "telemetry/json.hpp"
@@ -689,12 +689,38 @@ std::string with_resolved_scenario(std::string_view payload,
   return json_text(doc);
 }
 
-std::string scenario_fingerprint(const ScenarioSpec& s) {
-  std::ostringstream key;
-  key.precision(17);
-  key << "scenario=" << s.name << ";seed=" << s.seed;
+namespace {
+
+// Fingerprints are archive keys persisted in checkpoints, so their bytes
+// never change: integers in decimal, doubles as %.17g (what the ostream
+// they were first written with printed at precision 17), the inline
+// system's hash in lowercase hex.
+
+void append_integer(std::string& out, std::uint64_t value, int base = 10) {
+  std::array<char, 20> buf{};
+  out.append(buf.data(),
+             std::to_chars(buf.data(), buf.data() + buf.size(), value, base)
+                 .ptr);
+}
+
+void append_number(std::string& out, double value) {
+  std::array<char, 32> buf{};
+  out.append(buf.data(),
+             std::to_chars(buf.data(), buf.data() + buf.size(), value,
+                           std::chars_format::general, 17)
+                 .ptr);
+}
+
+void append_scenario_fingerprint(std::string& key, const ScenarioSpec& s) {
+  key += "scenario=";
+  key += s.name;
+  key += ";seed=";
+  append_integer(key, s.seed);
   if (s.name == "custom" || s.name == "inline") {
-    key << ";tasks=" << s.tasks << ";window=" << s.window_s;
+    key += ";tasks=";
+    append_integer(key, s.tasks);
+    key += ";window=";
+    append_number(key, s.window_s);
   }
   if (s.name == "inline") {
     // FNV-1a over the matrix entries' bit patterns keeps the key short
@@ -718,63 +744,84 @@ std::string scenario_fingerprint(const ScenarioSpec& s) {
       }
     }
     for (const std::size_t c : s.machine_counts) mix(c);
-    key << ";system=" << std::hex << h << std::dec;
+    key += ";system=";
+    append_integer(key, h, 16);
   }
   if (!s.dropped_machines.empty()) {
-    key << ";drop=";
+    key += ";drop=";
     for (std::size_t i = 0; i < s.dropped_machines.size(); ++i) {
-      if (i > 0) key << ',';
-      key << s.dropped_machines[i];
+      if (i > 0) key += ',';
+      append_integer(key, s.dropped_machines[i]);
     }
   }
-  return key.str();
+}
+
+}  // namespace
+
+std::string scenario_fingerprint(const ScenarioSpec& s) {
+  std::string key;
+  append_scenario_fingerprint(key, s);
+  return key;
 }
 
 std::string request_fingerprint(const ServeRequest& request) {
-  std::ostringstream key;
-  key.precision(17);
+  std::string key;
   if (request.kind == RequestKind::kDelta) {
     // Never a front-cache key (delta results depend on archive state);
     // identifies the request for routing and logs.
-    key << "delta;base=" << scenario_fingerprint(request.delta.base)
-        << ";mut=";
+    key += "delta;base=";
+    append_scenario_fingerprint(key, request.delta.base);
+    key += ";mut=";
     for (const ScenarioMutation& m : request.delta.mutations) {
       switch (m.op) {
         case ScenarioMutation::Op::kAddTasks:
-          key << "+t" << m.count;
+          key += "+t";
+          append_integer(key, m.count);
           break;
         case ScenarioMutation::Op::kRemoveTasks:
-          key << "-t" << m.count;
+          key += "-t";
+          append_integer(key, m.count);
           break;
         case ScenarioMutation::Op::kSetWindow:
-          key << "w" << m.window_s;
+          key += 'w';
+          append_number(key, m.window_s);
           break;
         case ScenarioMutation::Op::kDropMachine:
-          key << "-m" << m.machine;
+          key += "-m";
+          append_integer(key, m.machine);
           break;
       }
-      key << ',';
+      key += ',';
     }
   } else {
-    key << scenario_fingerprint(request.scenario);
+    append_scenario_fingerprint(key, request.scenario);
   }
-  key << "|mode=";
+  key += "|mode=";
   if (request.mode == ModeKind::kHeuristic) {
-    key << mode_label(request);
+    key += mode_label(request);
   } else {
     // pareto-query shares the nsga2 fingerprint on purpose: it reads the
     // front an nsga2 request with the same budget would compute.
     const Nsga2Params& n = request.nsga2;
-    key << "nsga2;pop=" << n.population << ";gen=" << n.generations
-        << ";mut=" << n.mutation_probability << ";seeds=";
-    for (const SeedHeuristic h : n.seeds) key << heuristic_slug(h) << ',';
+    key += "nsga2;pop=";
+    append_integer(key, n.population);
+    key += ";gen=";
+    append_integer(key, n.generations);
+    key += ";mut=";
+    append_number(key, n.mutation_probability);
+    key += ";seeds=";
+    for (const SeedHeuristic h : n.seeds) {
+      key += heuristic_slug(h);
+      key += ',';
+    }
   }
   if (!request.tenant.empty()) {
     // Tenant-keyed results may be warm-started (strictly better fronts);
     // they never share cache entries with the tenant-less fast path.
-    key << ";tenant=" << request.tenant;
+    key += ";tenant=";
+    key += request.tenant;
   }
-  return key.str();
+  return key;
 }
 
 }  // namespace eus::serve
