@@ -64,15 +64,28 @@ double positive_field(const JsonValue& obj, std::string_view key,
   return v->number;
 }
 
+/// The string member `key`, or `fallback` when it is absent.  A member of
+/// another type is refused, never read as absent: {"host":5} is not
+/// 127.0.0.1.
+std::string string_field(const JsonValue& obj, std::string_view key,
+                         std::string_view fallback,
+                         const std::string& subject) {
+  const JsonValue* v = obj.get(key);
+  if (v == nullptr) return std::string(fallback);
+  if (!v->is_string()) fail(subject + " must be a string");
+  return v->string;
+}
+
 BackendConfig parse_backend(const JsonValue& entry) {
   if (!entry.is_object()) fail("backends entries must be objects");
   BackendConfig backend;
-  backend.name = entry.string_or("name", "");
+  backend.name = string_field(entry, "name", "", "backend name");
   if (!valid_name(backend.name)) {
     fail("backend name '" + backend.name +
          "' is invalid (want 1-64 chars of [A-Za-z0-9_.-])");
   }
-  backend.host = entry.string_or("host", backend.host);
+  backend.host = string_field(entry, "host", backend.host,
+                              "backend '" + backend.name + "': host");
   if (backend.host != "127.0.0.1" && backend.host != "localhost") {
     fail("backend '" + backend.name + "': host '" + backend.host +
          "' is not loopback (the fleet is single-host for now; want "

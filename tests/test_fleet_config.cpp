@@ -89,12 +89,16 @@ TEST(FleetConfig, RejectsBadNames) {
   expect_rejected(R"({"backends":[{"name":"","port":7471}]})", "name");
   expect_rejected(R"({"backends":[{"name":"a b","port":7471}]})", "name");
   expect_rejected(R"({"backends":[{"port":7471}]})", "name");
+  expect_rejected(R"({"backends":[{"name":5,"port":7471}]})",
+                  "backend name must be a string");
 }
 
 TEST(FleetConfig, RejectsNonLoopbackHosts) {
   expect_rejected(
       R"({"backends":[{"name":"a","host":"10.0.0.7","port":7471}]})",
       "loopback");
+  expect_rejected(R"({"backends":[{"name":"b1","port":7471,"host":5}]})",
+                  "backend 'b1': host must be a string");
 }
 
 TEST(FleetConfig, RejectsUnknownCapabilitySyntax) {
