@@ -66,7 +66,10 @@ Router::Router(RouterConfig config)
   fleet_ = build_fleet(config_.fleet, nullptr);
 }
 
-Router::~Router() { stop(); }
+Router::~Router() {
+  leave_runtime();
+  stop();
+}
 
 std::shared_ptr<const Router::Fleet> Router::fleet_snapshot() const {
   const std::lock_guard lock(fleet_mutex_);
@@ -149,15 +152,18 @@ void Router::start() {
 
 void Router::request_stop() noexcept { endpoint_.drain(); }
 
-void Router::stop() {
-  if (!started_.load()) return;
-  endpoint_.stop_accepting();
+void Router::halt_acceptor() { endpoint_.stop_accepting(); }
+
+void Router::halt_queue() {
   {
     const std::lock_guard lock(prober_mutex_);
     prober_stop_ = true;
   }
   prober_cv_.notify_all();
   if (prober_.joinable()) prober_.join();
+}
+
+void Router::halt_workers() {
   // In-flight proxied calls finish against backends that answer every
   // accepted request, so halting the readers drains rather than aborts.
   endpoint_.join_connections();
@@ -165,7 +171,7 @@ void Router::stop() {
 
 void Router::serve(const serve::Reply& reply, serve::ServeRequest request,
                    const std::string& payload, const Stopwatch& total) {
-  if (draining()) {
+  if (endpoint_.draining()) {
     metric_errors_->add();
     reply.send(error_payload(request.id, kCodeOverloaded, "overloaded",
                              "router is draining; no new work accepted"));
@@ -335,13 +341,7 @@ std::optional<std::string> Router::forward(Backend& backend,
   }
   std::optional<std::string> response;
   try {
-    if (!connection.connected()) {
-      connection.connect(backend.config.port);
-      if (config_.backend_timeout_ms > 0.0) {
-        connection.set_timeout_ms(
-            static_cast<long>(config_.backend_timeout_ms));
-      }
-    }
+    if (!connection.connected()) connection.connect(backend.config.port);
     response = connection.call(payload);
   } catch (const std::exception&) {
     response.reset();

@@ -21,10 +21,11 @@
 // The handler answers its own admin verbs and the allocate/delta path.
 //
 // Teardown is two calls, because readers may block on a daemon's own
-// workers: stop_accepting() closes the listener, then join_connections()
-// shuts every read side down and joins every reader.  eus_served drains
-// its workers between the two, so no reader waits on a response nothing
-// will produce.
+// work: stop_accepting() closes the listener (a daemon's halt_acceptor),
+// then join_connections() shuts every read side down and joins every
+// reader once it has answered the request it is serving (halt_workers).
+// eus_served drains its workers in between; eus_router's readers finish
+// their proxied calls (docs/runtime.md).
 //
 // Still one thread per connection, with no connection cap and no read
 // deadline (ROADMAP item 3); both belong here when they come.

@@ -47,12 +47,16 @@ bool RuntimeState::transition(Phase from, Phase to) noexcept {
                                         std::memory_order_acquire);
 }
 
+void Daemon::leave_runtime() noexcept {
+  if (runtime_ != nullptr) runtime_->release(*this);
+}
+
 ServeRuntime::ServeRuntime(RuntimeConfig config)
     : config_(std::move(config)) {
   if (config_.signal_thread) {
-    // Block the shutdown signals *before* constructing the Server: its
-    // evaluation ThreadPool spawns threads right here in the constructor,
-    // and every thread must inherit the blocked mask or a process-directed
+    // Block the shutdown signals before the caller builds its daemon: the
+    // Server's evaluation ThreadPool spawns threads in its constructor, and
+    // every thread must inherit the blocked mask or a process-directed
     // SIGTERM could hit one of them and take the default (fatal) action
     // instead of the signal thread's sigtimedwait.
     sigset_t mask;
@@ -62,27 +66,30 @@ ServeRuntime::ServeRuntime(RuntimeConfig config)
     pthread_sigmask(SIG_BLOCK, &mask, nullptr);
   }
   if (!config_.runlog_path.empty()) {
-    owned_log_ = std::make_unique<RequestLog>(config_.runlog_path);
+    log_ = std::make_unique<RequestLog>(config_.runlog_path);
   }
-  ServerConfig server_config = config_.server;
-  if (server_config.metrics == nullptr) server_config.metrics = &metrics_;
-  if (server_config.log == nullptr) server_config.log = owned_log_.get();
-  if (server_config.catalog == nullptr) server_config.catalog = &catalog_;
-  if (server_config.archive == nullptr && config_.archive.max_tenants > 0) {
-    archive_ = std::make_unique<tenant::ArchiveStore>(config_.archive,
-                                                      server_config.metrics);
-    server_config.archive = archive_.get();
-  }
-  server_config.state = &state_;
-  log_ = server_config.log;
-  server_ = std::make_unique<Server>(server_config);
 }
 
-ServeRuntime::~ServeRuntime() { halt(); }
+ServeRuntime::~ServeRuntime() {
+  // A daemon that outlives the runtime must not call back into it.
+  if (daemon_ != nullptr) release(*daemon_);
+  halt();
+}
 
-void ServeRuntime::boot() {
-  if (booted_.exchange(true)) {
-    throw std::logic_error("runtime already booted");
+void ServeRuntime::release(Daemon& daemon) noexcept {
+  halt();
+  const std::lock_guard lock(halt_mutex_);
+  daemon_ = nullptr;
+  daemon.runtime_ = nullptr;
+}
+
+void ServeRuntime::boot(Daemon& daemon) {
+  {
+    const std::lock_guard lock(halt_mutex_);
+    if (daemon_ != nullptr) throw std::logic_error("runtime already booted");
+    if (halted_) return;  // halted before boot: nothing left to run
+    daemon_ = &daemon;
+    daemon.runtime_ = this;
   }
   uptime_.reset();
   if (config_.signal_thread) {
@@ -98,29 +105,7 @@ void ServeRuntime::boot() {
       return;
     }
   }
-  // Reload the warm-start archive before the listener is up, so the first
-  // accepted request already sees the previous run's fronts.  A corrupt
-  // checkpoint cold-starts (archive.checkpoint.corrupt); it never aborts
-  // the boot.
-  if (archive_ != nullptr && !config_.archive_path.empty()) {
-    const tenant::ArchiveStore::LoadResult result =
-        archive_->load(config_.archive_path);
-    archive_loaded_.store(true, std::memory_order_release);
-    if (log_ != nullptr) {
-      JsonObject o;
-      o.field("type", "archive_load");
-      o.field("path", config_.archive_path);
-      o.field("result",
-              result == tenant::ArchiveStore::LoadResult::kLoaded ? "loaded"
-              : result == tenant::ArchiveStore::LoadResult::kMissing
-                  ? "missing"
-                  : "corrupt");
-      o.field("tenants", static_cast<std::uint64_t>(archive_->tenants()));
-      o.field("entries", static_cast<std::uint64_t>(archive_->entries()));
-      log_->write(o.str());
-    }
-  }
-  server_->start();
+  daemon.start();
   state_.transition(Phase::eBooting, Phase::eRunning);
   log_lifecycle("running");
   if (config_.diagnostics_period_s > 0.0) {
@@ -155,26 +140,18 @@ void ServeRuntime::halt() {
     state_.transition(Phase::eBooting, Phase::eDraining);
   }
   log_lifecycle("draining");
-  server_->halt_acceptor();
-  server_->halt_queue();
+  if (daemon_ != nullptr) {
+    daemon_->halt_acceptor();
+    count_lifecycle("halt_acceptor");
+    daemon_->halt_queue();
+    count_lifecycle("halt_queue");
+  }
 
   state_.transition(Phase::eDraining, Phase::eHalting);
   log_lifecycle("halting");
-  server_->halt_workers();
-  // Checkpoint after the drain: every request answered before the halt is
-  // in the archive by now, and no worker can write to it anymore.
-  if (archive_ != nullptr && !config_.archive_path.empty() &&
-      archive_loaded_.load(std::memory_order_acquire)) {
-    const bool saved = archive_->save(config_.archive_path);
-    if (log_ != nullptr) {
-      JsonObject o;
-      o.field("type", "archive_save");
-      o.field("path", config_.archive_path);
-      o.field("saved", saved);
-      o.field("tenants", static_cast<std::uint64_t>(archive_->tenants()));
-      o.field("entries", static_cast<std::uint64_t>(archive_->entries()));
-      log_->write(o.str());
-    }
+  if (daemon_ != nullptr) {
+    daemon_->halt_workers();
+    count_lifecycle("halt_workers");
   }
   halt_recorder();
 
@@ -188,7 +165,14 @@ void ServeRuntime::halt_recorder() {
   if (diagnostics_thread_.joinable()) diagnostics_thread_.join();
   if (signal_thread_.joinable()) signal_thread_.join();
   write_diagnostics("final");
-  metrics().counter("serve.lifecycle.halt_recorder").add();
+  count_lifecycle("halt_recorder");
+}
+
+void ServeRuntime::count_lifecycle(const char* step) {
+  if (daemon_ == nullptr) return;
+  daemon_->metrics()
+      .counter(std::string(daemon_->metric_prefix()) + ".lifecycle." + step)
+      .add();
 }
 
 void ServeRuntime::signal_loop() {
@@ -225,8 +209,8 @@ void ServeRuntime::diagnostics_loop() {
 }
 
 void ServeRuntime::write_diagnostics(const char* event) {
-  if (log_ == nullptr) return;
-  const MetricsSnapshot snap = metrics().snapshot();
+  if (log_ == nullptr || daemon_ == nullptr) return;
+  const MetricsSnapshot snap = daemon_->metrics().snapshot();
   JsonObject o;
   o.field("type", "diagnostics");
   o.field("event", event);

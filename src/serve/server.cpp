@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "serve/runtime.hpp"
 #include "telemetry/json.hpp"
 
 namespace eus::serve {
@@ -116,6 +115,10 @@ Server::Server(ServerConfig config)
   if (config_.cache_entries > 0) {
     cache_ = std::make_unique<FrontCache>(config_.cache_entries, metrics_);
   }
+  if (config_.archive.max_tenants > 0) {
+    archive_ =
+        std::make_unique<tenant::ArchiveStore>(config_.archive, metrics_);
+  }
   if (config_.eval_threads != 1) {
     eval_pool_ = std::make_unique<ThreadPool>(config_.eval_threads);
   }
@@ -125,10 +128,13 @@ Server::Server(ServerConfig config)
   handler_context_.metrics = metrics_;
   handler_context_.cache = cache_.get();
   handler_context_.pool = eval_pool_.get();
-  handler_context_.archive = config_.archive;
+  handler_context_.archive = archive_.get();
 }
 
-Server::~Server() { stop(); }
+Server::~Server() {
+  leave_runtime();
+  stop();
+}
 
 std::size_t Server::queue_size() const { return queue_->size(); }
 std::size_t Server::queue_capacity() const { return queue_->capacity(); }
@@ -163,15 +169,35 @@ void Server::start() {
   metric_errors_ = &metrics_->counter("serve.errors");
   metric_dropped_ = &metrics_->counter("serve.dropped");
   metric_deadline_expired_ = &metrics_->counter("serve.deadline_expired");
-  metric_halt_acceptor_ = &metrics_->counter("serve.lifecycle.halt_acceptor");
-  metric_halt_queue_ = &metrics_->counter("serve.lifecycle.halt_queue");
-  metric_halt_workers_ = &metrics_->counter("serve.lifecycle.halt_workers");
   metric_queue_depth_ = &metrics_->gauge("serve.queue_depth");
   metric_in_flight_ = &metrics_->gauge("serve.in_flight");
   metric_workers_ = &metrics_->gauge("serve.workers");
   metric_service_ = &metrics_->timer("serve.service_s");
   metric_queue_wait_ = &metrics_->timer("serve.queue_wait_s");
   metric_latency_ = &metrics_->histogram("serve.latency");
+
+  // Reload the warm-start archive before the listener is up, so the first
+  // accepted request already sees the previous run's fronts.  A corrupt
+  // checkpoint cold-starts (archive.checkpoint.corrupt); it never aborts
+  // the start.
+  if (archive_ != nullptr && !config_.archive_path.empty()) {
+    const tenant::ArchiveStore::LoadResult result =
+        archive_->load(config_.archive_path);
+    checkpoint_due_.store(true, std::memory_order_release);
+    if (config_.log != nullptr) {
+      JsonObject o;
+      o.field("type", "archive_load");
+      o.field("path", config_.archive_path);
+      o.field("result",
+              result == tenant::ArchiveStore::LoadResult::kLoaded ? "loaded"
+              : result == tenant::ArchiveStore::LoadResult::kMissing
+                  ? "missing"
+                  : "corrupt");
+      o.field("tenants", static_cast<std::uint64_t>(archive_->tenants()));
+      o.field("entries", static_cast<std::uint64_t>(archive_->entries()));
+      config_.log->write(o.str());
+    }
+  }
 
   crew_->start(config_.workers);
   metric_workers_->set(static_cast<double>(crew_->target()));
@@ -191,36 +217,33 @@ void Server::start() {
   }
 }
 
-void Server::request_stop() noexcept { endpoint_.drain(); }
-
-void Server::halt_acceptor() {
-  if (acceptor_halted_.exchange(true)) return;
-  endpoint_.stop_accepting();
-  if (metric_halt_acceptor_ != nullptr) metric_halt_acceptor_->add();
-}
+void Server::halt_acceptor() { endpoint_.stop_accepting(); }
 
 void Server::halt_queue() {
-  if (queue_halted_.exchange(true)) return;
   endpoint_.drain();
   queue_->close();
-  if (metric_halt_queue_ != nullptr) metric_halt_queue_->add();
 }
 
 void Server::halt_workers() {
-  if (workers_halted_.exchange(true)) return;
   // Workers drain the closed queue and resolve every pending promise;
   // only then can the connection readers (blocked on those futures) be
   // unblocked and joined.
   crew_->halt();
   endpoint_.join_connections();
-  if (metric_halt_workers_ != nullptr) metric_halt_workers_->add();
-}
-
-void Server::stop() {
-  if (!started_.load()) return;
-  halt_acceptor();
-  halt_queue();
-  halt_workers();
+  // Checkpoint after the drain: every request answered before the halt is
+  // in the archive by now, and no worker or admin verb can change it
+  // anymore.
+  if (!checkpoint_due_.exchange(false, std::memory_order_acq_rel)) return;
+  const bool saved = archive_->save(config_.archive_path);
+  if (config_.log != nullptr) {
+    JsonObject o;
+    o.field("type", "archive_save");
+    o.field("path", config_.archive_path);
+    o.field("saved", saved);
+    o.field("tenants", static_cast<std::uint64_t>(archive_->tenants()));
+    o.field("entries", static_cast<std::uint64_t>(archive_->entries()));
+    config_.log->write(o.str());
+  }
 }
 
 void Server::execute_job(RequestJob& job) {
@@ -311,7 +334,7 @@ void Server::answer(const Reply& reply, const ServeRequest& request,
 void Server::refuse(const Reply& reply, const ServeRequest& request,
                     const Stopwatch& total) {
   metric_dropped_->add();
-  const char* reason = draining()
+  const char* reason = endpoint_.draining()
                            ? "server is draining; no new work accepted"
                            : "request queue is full; retry with backoff";
   reply.send(
@@ -330,11 +353,11 @@ void Server::healthz_fields(JsonObject& out) const {
   out.field("eval_threads", static_cast<std::uint64_t>(eval_threads()));
   out.field("cache_size",
             static_cast<std::uint64_t>(cache_ ? cache_->size() : 0));
-  if (config_.archive != nullptr) {
+  if (archive_ != nullptr) {
     out.field("archive_tenants",
-              static_cast<std::uint64_t>(config_.archive->tenants()));
+              static_cast<std::uint64_t>(archive_->tenants()));
     out.field("archive_entries",
-              static_cast<std::uint64_t>(config_.archive->entries()));
+              static_cast<std::uint64_t>(archive_->entries()));
   }
 }
 
@@ -351,10 +374,10 @@ void Server::config_fields(JsonObject& out) const {
             static_cast<std::uint64_t>(cache_ ? cache_->capacity() : 0));
   out.field("cache_size",
             static_cast<std::uint64_t>(cache_ ? cache_->size() : 0));
-  if (config_.archive != nullptr) {
-    const tenant::ArchiveConfig& a = config_.archive->config();
+  if (archive_ != nullptr) {
+    const tenant::ArchiveConfig& a = archive_->config();
     out.field("archive_tenants",
-              static_cast<std::uint64_t>(config_.archive->tenants()));
+              static_cast<std::uint64_t>(archive_->tenants()));
     out.field("archive_max_tenants",
               static_cast<std::uint64_t>(a.max_tenants));
     out.field("archive_entries_per_tenant",
@@ -394,18 +417,18 @@ std::string Server::admin(const ServeRequest& request) {
                            "this is a single eus_served daemon, not an "
                            "eus_router; fleet verbs have no target here");
     case AdminAction::kArchiveStats: {
-      if (config_.archive == nullptr) return no_archive();
+      if (archive_ == nullptr) return no_archive();
       JsonObject o = response_envelope(request.id, "ok", kCodeOk);
       o.field("action", "archive-stats");
       o.field("tenants",
-              static_cast<std::uint64_t>(config_.archive->tenants()));
+              static_cast<std::uint64_t>(archive_->tenants()));
       o.field("entries",
-              static_cast<std::uint64_t>(config_.archive->entries()));
+              static_cast<std::uint64_t>(archive_->entries()));
       o.field("genomes",
-              static_cast<std::uint64_t>(config_.archive->genomes()));
+              static_cast<std::uint64_t>(archive_->genomes()));
       std::string per_tenant = "[";
       bool first = true;
-      for (const tenant::TenantStats& s : config_.archive->stats()) {
+      for (const tenant::TenantStats& s : archive_->stats()) {
         if (!first) per_tenant += ',';
         first = false;
         JsonObject t;
@@ -422,14 +445,14 @@ std::string Server::admin(const ServeRequest& request) {
       return o.str();
     }
     case AdminAction::kArchiveFlush: {
-      if (config_.archive == nullptr) return no_archive();
-      const std::size_t flushed = config_.archive->flush(admin.name);
+      if (archive_ == nullptr) return no_archive();
+      const std::size_t flushed = archive_->flush(admin.name);
       return admin_applied(request, "flushed",
                            static_cast<std::uint64_t>(flushed));
     }
     case AdminAction::kArchiveCap: {
-      if (config_.archive == nullptr) return no_archive();
-      if (!config_.archive->set_tenant_cap(admin.name, admin.value)) {
+      if (archive_ == nullptr) return no_archive();
+      if (!archive_->set_tenant_cap(admin.name, admin.value)) {
         return error_payload(request.id, kCodeBadRequest, "error",
                              "archive-cap value must be >= 1");
       }

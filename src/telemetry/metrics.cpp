@@ -96,12 +96,6 @@ void append_snapshot(JsonObject& out, const MetricsSnapshot& snap) {
   out.raw("histograms", histograms.str());
 }
 
-std::string snapshot_json(const MetricsSnapshot& snap) {
-  JsonObject o;
-  append_snapshot(o, snap);
-  return o.str();
-}
-
 MetricsSnapshot snapshot_delta(const MetricsSnapshot& before,
                                const MetricsSnapshot& after) {
   MetricsSnapshot delta;

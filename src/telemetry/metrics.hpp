@@ -155,9 +155,6 @@ class JsonObject;
 /// background diagnostics thread so both emit the identical schema.
 void append_snapshot(JsonObject& out, const MetricsSnapshot& snap);
 
-/// The same four sections as one standalone JSON object.
-[[nodiscard]] std::string snapshot_json(const MetricsSnapshot& snap);
-
 /// Per-interval view of two snapshots of the same registry: counters and
 /// timers subtract (names absent from `before` count as zero; a counter
 /// that somehow shrank clamps to zero rather than wrapping), gauges keep

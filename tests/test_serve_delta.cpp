@@ -2,8 +2,9 @@
 // allocate-then-delta warm round trip, the 404 unknown-base path, protocol
 // rejections, the archive admin verbs (a wrong-typed flush name flushes
 // nothing), and the checkpoint lifecycle — SIGTERM drain writes the
-// archive, a restarted runtime reloads it and answers the next delta warm,
-// and a corrupt checkpoint cold-starts.
+// archive, a restarted server reloads it and answers the next delta warm,
+// a corrupt checkpoint cold-starts, and a halt before boot leaves an
+// existing checkpoint untouched.
 
 #include <gtest/gtest.h>
 
@@ -13,12 +14,14 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 
 #include "serve/client.hpp"
 #include "serve/handlers.hpp"
 #include "serve/runtime.hpp"
+#include "serve/server.hpp"
 #include "util/json_value.hpp"
 
 namespace eus::serve {
@@ -44,6 +47,18 @@ constexpr const char* kBase =
 constexpr const char* kBudget =
     R"({"population":16,"generations":16,"seeds":["min-energy"]})";
 
+/// A Server config wired to `runtime` as eus_served wires it (run log,
+/// catalog, phase), with the warm-start archive at the store's default
+/// bounds, as eus_served keeps it by default.
+ServerConfig archived(ServeRuntime& runtime) {
+  ServerConfig config;
+  config.log = runtime.log();
+  config.catalog = &runtime.catalog();
+  config.state = &runtime.state();
+  config.archive = tenant::ArchiveConfig{};
+  return config;
+}
+
 std::string allocate_request(const std::string& tenant) {
   return std::string(R"({"type":"allocate","mode":"nsga2",)") +
          (tenant.empty() ? "" : R"("tenant":")" + tenant + R"(",)") +
@@ -61,8 +76,9 @@ std::string delta_request(const std::string& tenant,
 TEST(ServeDelta, WarmDeltaRoundTripOverLoopback) {
   RuntimeConfig config;
   ServeRuntime runtime(config);
-  runtime.boot();
-  const std::uint16_t port = runtime.server().port();
+  Server server(archived(runtime));
+  runtime.boot(server);
+  const std::uint16_t port = server.port();
 
   // Prime: the tenant's first allocate runs cold and archives its front.
   const util::JsonValue prime = one_shot(port, allocate_request("acme"));
@@ -108,8 +124,9 @@ TEST(ServeDelta, WarmDeltaRoundTripOverLoopback) {
 TEST(ServeDelta, UnknownBaseAnswers404WithoutColdFallback) {
   RuntimeConfig config;
   ServeRuntime runtime(config);
-  runtime.boot();
-  const std::uint16_t port = runtime.server().port();
+  Server server(archived(runtime));
+  runtime.boot(server);
+  const std::uint16_t port = server.port();
 
   const util::JsonValue r = one_shot(
       port, delta_request("ghost", R"([{"op":"add-tasks","count":2}])",
@@ -127,8 +144,9 @@ TEST(ServeDelta, UnknownBaseAnswers404WithoutColdFallback) {
 TEST(ServeDelta, UnknownBaseFallsBackToColdRunByDefault) {
   RuntimeConfig config;
   ServeRuntime runtime(config);
-  runtime.boot();
-  const std::uint16_t port = runtime.server().port();
+  Server server(archived(runtime));
+  runtime.boot(server);
+  const std::uint16_t port = server.port();
 
   const util::JsonValue r = one_shot(
       port, delta_request("newcomer", R"([{"op":"remove-tasks","count":4}])"));
@@ -147,8 +165,9 @@ TEST(ServeDelta, UnknownBaseFallsBackToColdRunByDefault) {
 TEST(ServeDelta, ProtocolRejectionsAnswer400) {
   RuntimeConfig config;
   ServeRuntime runtime(config);
-  runtime.boot();
-  const std::uint16_t port = runtime.server().port();
+  Server server(archived(runtime));
+  runtime.boot(server);
+  const std::uint16_t port = server.port();
 
   // Empty mutation list.
   EXPECT_EQ(code_of(one_shot(port, delta_request("acme", "[]"))),
@@ -180,8 +199,9 @@ TEST(ServeDelta, ProtocolRejectionsAnswer400) {
 TEST(ServeDelta, ArchiveAdminVerbsOverLoopback) {
   RuntimeConfig config;
   ServeRuntime runtime(config);
-  runtime.boot();
-  const std::uint16_t port = runtime.server().port();
+  Server server(archived(runtime));
+  runtime.boot(server);
+  const std::uint16_t port = server.port();
 
   ASSERT_EQ(code_of(one_shot(port, allocate_request("acme"))), kCodeOk);
 
@@ -215,8 +235,9 @@ TEST(ServeDelta, ArchiveAdminVerbsOverLoopback) {
 TEST(ServeDelta, ArchiveFlushWithANonStringNameFlushesNothing) {
   RuntimeConfig config;
   ServeRuntime runtime(config);
-  runtime.boot();
-  const std::uint16_t port = runtime.server().port();
+  Server server(archived(runtime));
+  runtime.boot(server);
+  const std::uint16_t port = server.port();
   ASSERT_EQ(code_of(one_shot(port, allocate_request("acme"))), kCodeOk);
 
   // A name of the wrong type is refused, not read as "every tenant".
@@ -238,10 +259,12 @@ TEST(ServeDelta, ArchiveFlushWithANonStringNameFlushesNothing) {
 
 TEST(ServeDelta, ArchiveVerbsWithoutArchiveAnswer400) {
   RuntimeConfig config;
-  config.archive.max_tenants = 0;  // archive disabled
   ServeRuntime runtime(config);
-  runtime.boot();
-  const std::uint16_t port = runtime.server().port();
+  ServerConfig server_config = archived(runtime);
+  server_config.archive.max_tenants = 0;  // archive disabled
+  Server server(server_config);
+  runtime.boot(server);
+  const std::uint16_t port = server.port();
 
   const util::JsonValue r =
       one_shot(port, R"({"type":"adminz","action":"archive-stats"})");
@@ -265,12 +288,13 @@ TEST(ServeDelta, CheckpointSurvivesSigtermKillAndRestart) {
   // SIGTERM — the drain writes the checkpoint.
   {
     RuntimeConfig config;
-    config.archive_path = path;
     config.signal_thread = true;
     ServeRuntime runtime(config);
-    runtime.boot();
-    ASSERT_EQ(code_of(one_shot(runtime.server().port(),
-                               allocate_request("acme"))),
+    ServerConfig server_config = archived(runtime);
+    server_config.archive_path = path;
+    Server server(server_config);
+    runtime.boot(server);
+    ASSERT_EQ(code_of(one_shot(server.port(), allocate_request("acme"))),
               kCodeOk);
     ASSERT_EQ(::kill(::getpid(), SIGTERM), 0);
     runtime.run();
@@ -285,11 +309,13 @@ TEST(ServeDelta, CheckpointSurvivesSigtermKillAndRestart) {
   // tenant's delta warm — no re-priming allocate needed.
   {
     RuntimeConfig config;
-    config.archive_path = path;
     ServeRuntime runtime(config);
-    runtime.boot();
+    ServerConfig server_config = archived(runtime);
+    server_config.archive_path = path;
+    Server server(server_config);
+    runtime.boot(server);
     const util::JsonValue delta = one_shot(
-        runtime.server().port(),
+        server.port(),
         delta_request("acme", R"([{"op":"add-tasks","count":2}])",
                       R"(,"cold_fallback":false)"));
     ASSERT_EQ(code_of(delta), kCodeOk) << delta.string_or("error", "");
@@ -306,11 +332,13 @@ TEST(ServeDelta, CorruptCheckpointColdStartsTheBoot) {
   std::ofstream(path) << "this is not an archive checkpoint\n";
 
   RuntimeConfig config;
-  config.archive_path = path;
   ServeRuntime runtime(config);
-  runtime.boot();  // must not throw
+  ServerConfig server_config = archived(runtime);
+  server_config.archive_path = path;
+  Server server(server_config);
+  runtime.boot(server);  // must not throw
   EXPECT_EQ(runtime.phase(), Phase::eRunning);
-  const std::uint16_t port = runtime.server().port();
+  const std::uint16_t port = server.port();
 
   const util::JsonValue m = one_shot(port, R"({"type":"metricsz"})");
   EXPECT_EQ(counter_of(m, "archive.checkpoint.corrupt"), 1.0);
@@ -319,6 +347,31 @@ TEST(ServeDelta, CorruptCheckpointColdStartsTheBoot) {
   ASSERT_EQ(code_of(one_shot(port, allocate_request("acme"))), kCodeOk);
 
   runtime.halt();
+  std::remove(path.c_str());
+}
+
+TEST(ServeDelta, HaltBeforeBootLeavesTheCheckpointAlone) {
+  const std::string path =
+      testing::TempDir() + "/eus_delta_ckpt_untouched_test";
+  const std::string content = "a checkpoint this daemon never loaded\n";
+  std::ofstream(path) << content;
+  {
+    RuntimeConfig config;
+    ServeRuntime runtime(config);
+    ServerConfig server_config = archived(runtime);
+    server_config.archive_path = path;
+    Server server(server_config);
+    runtime.request_halt();
+    runtime.boot(server);  // the halt beat the boot: never started
+    runtime.run();
+    EXPECT_EQ(runtime.phase(), Phase::eHalted);
+    EXPECT_EQ(server.port(), 0);
+  }
+  // Neither the halt nor either destructor wrote the file.
+  std::ifstream in(path);
+  const std::string after((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(after, content);
   std::remove(path.c_str());
 }
 

@@ -11,8 +11,9 @@
 //   eus_router --fleet fleet.json --policy max-upe --port 0
 //   EUS_RUNLOG=router.jsonl eus_router --fleet fleet.json
 //
-// SIGINT/SIGTERM drain gracefully: stop accepting, answer every in-flight
-// proxied request, then exit 0.
+// The lifecycle is ServeRuntime's, as for eus_served (docs/runtime.md):
+// SIGINT/SIGTERM drain gracefully — stop accepting, stop the prober, answer
+// every in-flight proxied request — then exit 0.
 //
 // Exit codes: 0 clean shutdown, 1 startup failure, 2 usage error.
 
@@ -24,6 +25,7 @@
 
 #include "fleet/config.hpp"
 #include "fleet/router.hpp"
+#include "serve/runtime.hpp"
 #include "util/env.hpp"
 
 #ifndef EUS_VERSION
@@ -176,48 +178,29 @@ int main(int argc, char** argv) {
   const CliOptions& opts = *parsed;
 
   ::signal(SIGPIPE, SIG_IGN);
-  // Block the shutdown signals before any thread exists so every thread
-  // inherits the mask and sigwait below is the single consumer.
-  sigset_t mask;
-  sigemptyset(&mask);
-  sigaddset(&mask, SIGINT);
-  sigaddset(&mask, SIGTERM);
-  pthread_sigmask(SIG_BLOCK, &mask, nullptr);
 
   try {
-    RouterConfig config;
-    config.port = opts.port;
-    config.fleet = load_fleet_config(opts.fleet_path);
-    config.policy = opts.policy;
-    config.health_period_s = opts.health_period_s;
-    config.probe_timeout_ms = opts.probe_timeout_ms;
-    config.max_backoff_s = opts.max_backoff_s;
-
-    std::optional<serve::RequestLog> log;
-    if (opts.runlog && !opts.runlog->empty()) {
-      log.emplace(*opts.runlog);
-      config.log = &*log;
-    }
-    SharedCatalog catalog;
-    config.catalog = &catalog;
-
-    Router router(std::move(config));
-    router.start();
+    FleetConfig fleet = load_fleet_config(opts.fleet_path);
+    // The runtime blocks the shutdown signals before any thread exists.
+    serve::ServeRuntime runtime(
+        {.runlog_path = opts.runlog.value_or(""), .signal_thread = true});
+    Router router({.port = opts.port,
+                   .fleet = std::move(fleet),
+                   .policy = opts.policy,
+                   .health_period_s = opts.health_period_s,
+                   .probe_timeout_ms = opts.probe_timeout_ms,
+                   .max_backoff_s = opts.max_backoff_s,
+                   .log = runtime.log(),
+                   .catalog = &runtime.catalog()});
+    runtime.boot(router);
     std::cout << "eus_router " << EUS_VERSION << " listening on 127.0.0.1:"
               << router.port() << " (policy "
               << to_string(router.policy()) << ", backends "
               << router.backend_info().size() << ", health period "
               << opts.health_period_s << " s)" << std::endl;
-
-    int signo = 0;
-    while (sigwait(&mask, &signo) != 0) {
-    }
-    std::cout << "eus_router: received "
-              << (signo == SIGTERM ? "SIGTERM" : "SIGINT")
-              << ", draining" << std::endl;
-    router.request_stop();
-    router.stop();
-    std::cout << "eus_router: drained, bye" << std::endl;
+    runtime.run();
+    std::cout << "eus_router: drained, bye (phase "
+              << to_string(runtime.phase()) << ")" << std::endl;
   } catch (const std::exception& e) {
     std::cerr << "eus_router: " << e.what() << '\n';
     return kExitStartupFailure;

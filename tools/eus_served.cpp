@@ -23,6 +23,7 @@
 #include <string>
 
 #include "serve/runtime.hpp"
+#include "serve/server.hpp"
 #include "util/env.hpp"
 
 #ifndef EUS_VERSION
@@ -220,31 +221,32 @@ int main(int argc, char** argv) {
 
   ::signal(SIGPIPE, SIG_IGN);
 
-  RuntimeConfig config;
-  config.server.port = opts.port;
-  config.server.queue_depth = opts.queue_depth;
-  config.server.workers = opts.workers;
-  config.server.eval_threads = opts.eval_threads;
-  config.server.cache_entries = opts.cache_entries;
-  config.server.max_frame_bytes = opts.max_frame_bytes;
-  config.runlog_path = opts.runlog.value_or("");
-  config.archive.max_tenants = opts.archive_tenants;
-  config.archive.entries_per_tenant = opts.archive_entries;
-  config.archive.genomes_per_entry = opts.archive_genomes;
-  config.archive_path = opts.archive.value_or("");
-  config.diagnostics_period_s = opts.diagnostics_period_s;
-  config.signal_thread = true;
-
   try {
-    ServeRuntime runtime(config);
-    runtime.boot();
+    // The runtime comes first: it blocks the shutdown signals before the
+    // Server's evaluation pool starts any thread.
+    ServeRuntime runtime({.runlog_path = opts.runlog.value_or(""),
+                          .diagnostics_period_s = opts.diagnostics_period_s,
+                          .signal_thread = true});
+    Server server({.port = opts.port,
+                   .queue_depth = opts.queue_depth,
+                   .workers = opts.workers,
+                   .eval_threads = opts.eval_threads,
+                   .cache_entries = opts.cache_entries,
+                   .max_frame_bytes = opts.max_frame_bytes,
+                   .log = runtime.log(),
+                   .catalog = &runtime.catalog(),
+                   .state = &runtime.state(),
+                   .archive = {.max_tenants = opts.archive_tenants,
+                               .entries_per_tenant = opts.archive_entries,
+                               .genomes_per_entry = opts.archive_genomes},
+                   .archive_path = opts.archive.value_or("")});
+    runtime.boot(server);
     std::cout << "eus_served " << EUS_VERSION << " listening on 127.0.0.1:"
-              << runtime.server().port() << " (queue " << opts.queue_depth
+              << server.port() << " (queue " << opts.queue_depth
               << ", workers " << opts.workers << ", cache "
               << opts.cache_entries << ", eval-threads "
-              << runtime.server().eval_threads()
-              << ", phase " << to_string(runtime.phase()) << ")"
-              << std::endl;
+              << server.eval_threads() << ", phase "
+              << to_string(runtime.phase()) << ")" << std::endl;
     runtime.run();
     std::cout << "eus_served: drained, bye (phase "
               << to_string(runtime.phase()) << ")" << std::endl;
