@@ -9,8 +9,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <memory>
 #include <utility>
-#include <vector>
 
 namespace eus::serve {
 
@@ -18,7 +18,8 @@ ClientConnection::~ClientConnection() { close(); }
 
 ClientConnection::ClientConnection(ClientConnection&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
-      decoder_(std::move(other.decoder_)) {}
+      decoder_(std::move(other.decoder_)),
+      buffer_(std::move(other.buffer_)) {}
 
 ClientConnection& ClientConnection::operator=(
     ClientConnection&& other) noexcept {
@@ -26,6 +27,7 @@ ClientConnection& ClientConnection::operator=(
     close();
     fd_ = std::exchange(other.fd_, -1);
     decoder_ = std::move(other.decoder_);
+    buffer_ = std::move(other.buffer_);
   }
   return *this;
 }
@@ -84,18 +86,20 @@ void ClientConnection::send(std::string_view payload) {
 
 std::string ClientConnection::receive() {
   if (fd_ < 0) throw ConnectError("not connected");
-  std::vector<char> buffer(64 * 1024);
   while (true) {
     if (std::optional<std::string> payload = decoder_.next()) {
       return std::move(*payload);
     }
-    const ssize_t n = ::recv(fd_, buffer.data(), buffer.size(), 0);
+    if (buffer_ == nullptr) {
+      buffer_ = std::make_unique_for_overwrite<char[]>(kReceiveBufferBytes);
+    }
+    const ssize_t n = ::recv(fd_, buffer_.get(), kReceiveBufferBytes, 0);
     if (n == 0) throw ConnectError("connection closed by server");
     if (n < 0) {
       if (errno == EINTR) continue;
       throw ConnectError(std::string("recv(): ") + std::strerror(errno));
     }
-    decoder_.feed(buffer.data(), static_cast<std::size_t>(n));
+    decoder_.feed(buffer_.get(), static_cast<std::size_t>(n));
   }
 }
 
