@@ -20,39 +20,51 @@ namespace eus::serve {
 
 namespace {
 
+void append_point(std::string& out, const EUPoint& point) {
+  out += R"({"energy":)";
+  append_json_number(out, point.energy);
+  out += R"(,"utility":)";
+  append_json_number(out, point.utility);
+  out += '}';
+}
+
 std::string point_json(const EUPoint& point) {
-  JsonObject o;
-  o.field("energy", point.energy);
-  o.field("utility", point.utility);
-  return o.str();
+  std::string out;
+  append_point(out, point);
+  return out;
 }
 
 std::string front_json(const std::vector<EUPoint>& front) {
-  std::string out = "[";
+  std::string out;
+  // A point's keys and two shortest round-trip doubles take 30-70 bytes.
+  out.reserve(2 + front.size() * 64);
+  out += '[';
   for (std::size_t i = 0; i < front.size(); ++i) {
     if (i != 0) out += ',';
-    out += point_json(front[i]);
+    append_point(out, front[i]);
   }
   out += ']';
   return out;
 }
 
-std::string int_array_json(const std::vector<int>& values) {
-  std::string out = "[";
+void append_int_array(std::string& out, const std::vector<int>& values) {
+  out += '[';
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i != 0) out += ',';
-    out += std::to_string(values[i]);
+    append_json_integer(out, values[i]);
   }
   out += ']';
-  return out;
 }
 
 std::string allocation_json(const Allocation& allocation) {
-  JsonObject o;
-  o.raw("machine", int_array_json(allocation.machine));
-  o.raw("order", int_array_json(allocation.order));
-  o.raw("pstate", int_array_json(allocation.pstate));
-  return o.str();
+  std::string out = R"({"machine":)";
+  append_int_array(out, allocation.machine);
+  out += R"(,"order":)";
+  append_int_array(out, allocation.order);
+  out += R"(,"pstate":)";
+  append_int_array(out, allocation.pstate);
+  out += '}';
+  return out;
 }
 
 /// One NSGA-II evolution, fully specified (handle_allocate and
@@ -68,8 +80,8 @@ struct EvolveSpec {
 
 /// Evolves one deadline-sliced NSGA-II population.  Returns whether the
 /// deadline expired before the full budget ran; `out` always carries the
-/// best front evolved so far and `out_genomes` (optional) its genomes, in
-/// front order.
+/// best front evolved so far, rendered, and `out_genomes` (optional) its
+/// genomes, in front order.
 ///
 /// With warm seeds the reported front is the nondominated union of the
 /// evolved front and the re-evaluated warm genomes.  Evaluation is a pure
@@ -123,6 +135,7 @@ bool run_nsga2(const EvolveSpec& spec, const HandlerContext& ctx,
 
   if (!warm) {
     out.front = algorithm.front_points();
+    out.front_json = front_json(out.front);
     if (out_genomes != nullptr) {
       out_genomes->clear();
       for (const Individual& ind : algorithm.front()) {
@@ -151,6 +164,7 @@ bool run_nsga2(const EvolveSpec& spec, const HandlerContext& ctx,
     merged.insert(pool_points[i], i, genome_fingerprint(pool[i]));
   }
   out.front = merged.points();
+  out.front_json = front_json(out.front);
   if (out_genomes != nullptr) {
     out_genomes->clear();
     for (const ParetoArchive::Entry& e : merged.entries()) {
@@ -437,7 +451,8 @@ struct Provenance {
 };
 
 /// The allocate response for `result`.  A worker and a connection thread
-/// render the same cached result to the same bytes, apart from `timing`.
+/// render the same cached result to the same bytes, apart from `timing`:
+/// both splice the front and allocation rendered when it was computed.
 HandleResult render_allocate(const ServeRequest& request,
                              const CachedResult& result,
                              const Provenance& provenance, double queue_ms,
@@ -466,10 +481,10 @@ HandleResult render_allocate(const ServeRequest& request,
     o.field("warm", provenance.warm);
   }
   o.field("cache", provenance.cache_hit ? "hit" : "miss");
-  o.raw("front", front_json(result.front));
+  o.raw("front", result.front_json);
   if (point) o.raw("objectives", point_json(*point));
-  if (result.has_allocation) {
-    o.raw("allocation", allocation_json(result.allocation));
+  if (!result.allocation_json.empty()) {
+    o.raw("allocation", result.allocation_json);
   }
   o.field("generations", static_cast<std::uint64_t>(result.generations));
   o.field("evaluations", result.evaluations);
@@ -478,7 +493,7 @@ HandleResult render_allocate(const ServeRequest& request,
   timing.field("queue_ms", queue_ms);
   timing.field("service_ms", service.milliseconds());
   o.raw("timing", timing.str());
-  return {code, o.str(), provenance.cache_hit};
+  return {code, std::move(o).str(), provenance.cache_hit};
 }
 
 }  // namespace
@@ -507,12 +522,13 @@ HandleResult handle_allocate(const ServeRequest& request,
     CachedResult result;
     const Scenario scenario = build_scenario(request.scenario);
     if (request.mode == ModeKind::kHeuristic) {
-      result.allocation =
+      const Allocation allocation =
           make_seed(request.heuristic, scenario.system, scenario.trace);
       const Evaluator evaluator(scenario.system, scenario.trace);
-      const Evaluation e = evaluator.evaluate(result.allocation);
+      const Evaluation e = evaluator.evaluate(allocation);
       result.front = {EUPoint{e.energy, e.utility}};
-      result.has_allocation = true;
+      result.front_json = front_json(result.front);
+      result.allocation_json = allocation_json(allocation);
       result.evaluations = 1;
     } else {
       const UtilityEnergyProblem problem(scenario.system, scenario.trace);
@@ -540,11 +556,15 @@ HandleResult handle_allocate(const ServeRequest& request,
                          result.front);
       }
     }
+    HandleResult answer = render_allocate(
+        request, result, {.warm = warm, .partial = partial}, queue_ms,
+        service);
     // Partial fronts are deadline artifacts, not the fingerprint's true
     // result — never let them satisfy a later full-budget request.
-    if (ctx.cache != nullptr && !partial) ctx.cache->insert(key, result);
-    return render_allocate(request, result, {.warm = warm, .partial = partial},
-                           queue_ms, service);
+    if (ctx.cache != nullptr && !partial) {
+      ctx.cache->insert(key, std::move(result));
+    }
+    return answer;
   });
 }
 
@@ -640,7 +660,7 @@ HandleResult handle_delta(const ServeRequest& request,
     o.field("warm", warm);
     o.field("base_fingerprint", base_key);
     o.field("fingerprint", new_key);
-    o.raw("front", front_json(result.front));
+    o.raw("front", result.front_json);
     o.field("generations", static_cast<std::uint64_t>(result.generations));
     o.field("evaluations", result.evaluations);
     o.field("deadline_exceeded", partial);
@@ -648,7 +668,7 @@ HandleResult handle_delta(const ServeRequest& request,
     timing.field("queue_ms", queue_ms);
     timing.field("service_ms", service.milliseconds());
     o.raw("timing", timing.str());
-    return {code, o.str()};
+    return {code, std::move(o).str()};
   });
 }
 
