@@ -1,13 +1,27 @@
 #include "serve/runtime.hpp"
 
+#include <pthread.h>
+
 #include <csignal>
-#include <ctime>
 #include <stdexcept>
 #include <utility>
 
 #include "telemetry/json.hpp"
 
 namespace eus::serve {
+
+namespace {
+
+/// The signals that start a drain: SIGINT and SIGTERM.
+sigset_t shutdown_signals() noexcept {
+  sigset_t mask;
+  sigemptyset(&mask);
+  sigaddset(&mask, SIGINT);
+  sigaddset(&mask, SIGTERM);
+  return mask;
+}
+
+}  // namespace
 
 const char* to_string(Phase p) noexcept {
   switch (p) {
@@ -58,11 +72,8 @@ ServeRuntime::ServeRuntime(RuntimeConfig config)
     // Server's evaluation ThreadPool spawns threads in its constructor, and
     // every thread must inherit the blocked mask or a process-directed
     // SIGTERM could hit one of them and take the default (fatal) action
-    // instead of the signal thread's sigtimedwait.
-    sigset_t mask;
-    sigemptyset(&mask);
-    sigaddset(&mask, SIGINT);
-    sigaddset(&mask, SIGTERM);
+    // instead of the signal thread's sigwait.
+    const sigset_t mask = shutdown_signals();
     pthread_sigmask(SIG_BLOCK, &mask, nullptr);
   }
   if (!config_.runlog_path.empty()) {
@@ -94,8 +105,15 @@ void ServeRuntime::boot(Daemon& daemon) {
   uptime_.reset();
   if (config_.signal_thread) {
     // The mask was blocked in the constructor (before any thread existed),
-    // so this thread's sigtimedwait is the only consumer.
+    // so this thread's sigwait is the only consumer.  It is blocked again
+    // around the spawn so the signal thread has it blocked from its first
+    // instruction, whichever thread boots: halt_recorder wakes it with a
+    // SIGTERM of its own.
+    const sigset_t mask = shutdown_signals();
+    sigset_t previous;
+    pthread_sigmask(SIG_BLOCK, &mask, &previous);
     signal_thread_ = std::thread([this] { signal_loop(); });
+    pthread_sigmask(SIG_SETMASK, &previous, nullptr);
   }
   {
     const std::lock_guard lock(mutex_);
@@ -160,10 +178,17 @@ void ServeRuntime::halt() {
 }
 
 void ServeRuntime::halt_recorder() {
-  stop_threads_.store(true, std::memory_order_relaxed);
+  stop_threads_.store(true);
   cv_.notify_all();
   if (diagnostics_thread_.joinable()) diagnostics_thread_.join();
-  if (signal_thread_.joinable()) signal_thread_.join();
+  if (signal_thread_.joinable()) {
+    // A signal sent to the thread itself ends its sigwait at once; the
+    // thread sees the stop flag and returns.  Were a real signal consumed
+    // in the meantime, the wake stays pending on the thread and is
+    // discarded when it exits.
+    pthread_kill(signal_thread_.native_handle(), SIGTERM);
+    signal_thread_.join();
+  }
   write_diagnostics("final");
   count_lifecycle("halt_recorder");
 }
@@ -176,20 +201,13 @@ void ServeRuntime::count_lifecycle(const char* step) {
 }
 
 void ServeRuntime::signal_loop() {
-  sigset_t mask;
-  sigemptyset(&mask);
-  sigaddset(&mask, SIGINT);
-  sigaddset(&mask, SIGTERM);
-  // Wake every 100ms to poll the stop flag; a delivered signal returns
-  // immediately.  sigtimedwait runs on this ordinary thread, so no
+  // Sleeps until SIGINT or SIGTERM arrives, from outside or from
+  // halt_recorder's wake.  sigwait runs on this ordinary thread, so no
   // async-signal-safety constraints apply to what we do on receipt.
-  timespec tick{};
-  tick.tv_nsec = 100L * 1000L * 1000L;
-  while (!stop_threads_.load(std::memory_order_relaxed)) {
-    const int sig = ::sigtimedwait(&mask, nullptr, &tick);
-    if (sig == SIGINT || sig == SIGTERM) {
-      request_halt();
-    }
+  const sigset_t mask = shutdown_signals();
+  while (!stop_threads_.load()) {
+    int sig = 0;
+    if (::sigwait(&mask, &sig) == 0) request_halt();
   }
 }
 

@@ -19,7 +19,9 @@
 // The runtime owns the process's things only:
 //  - the signal mask and a signal thread: SIGINT/SIGTERM are blocked in the
 //    constructor, before the caller builds its daemon (every later thread
-//    inherits the mask), then consumed via sigtimedwait on this thread;
+//    inherits the mask), then consumed via sigwait on this thread, which
+//    sleeps until one arrives; halt_recorder() wakes it with a SIGTERM
+//    sent to the thread alone, so a halt never waits on a poll tick;
 //  - the JSONL run log, the alias catalog and the phase cell, which the
 //    caller hands to its daemon's config (log(), catalog(), state());
 //  - a diagnostics thread snapshotting the daemon's MetricsRegistry into
