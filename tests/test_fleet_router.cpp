@@ -356,7 +356,7 @@ TEST(FleetRouter, AliasesResolveAtTheRouterNotTheBackend) {
 
 TEST(FleetRouter, DrainRejectsNewAllocatesOnLiveConnections) {
   FleetHarness fleet(1);
-  // After request_stop the acceptor takes no new connections, so the
+  // After halt_acceptor the acceptor takes no new connections, so the
   // drain answer is observable only on one accepted beforehand.
   ClientConnection connection;
   connection.connect(fleet.router->port());
@@ -365,7 +365,7 @@ TEST(FleetRouter, DrainRejectsNewAllocatesOnLiveConnections) {
   ASSERT_EQ(code_of(util::parse_json(
                 connection.call(R"({"type":"healthz"})"))),
             serve::kCodeOk);
-  fleet.router->request_stop();
+  fleet.router->halt_acceptor();
   const util::JsonValue doc =
       util::parse_json(connection.call(nsga2_request(4)));
   EXPECT_EQ(code_of(doc), serve::kCodeOverloaded);
