@@ -7,7 +7,7 @@
 //
 // The process lifecycle lives in ServeRuntime (docs/runtime.md): a phased
 // state machine (booting → running → draining → halting → halted) with a
-// dedicated signal thread consuming SIGINT/SIGTERM via sigtimedwait and an
+// dedicated signal thread consuming SIGINT/SIGTERM via sigwait and an
 // ordered teardown that answers every accepted request before exit.
 //
 //   eus_served                         # EUS_SERVE_PORT (default 7461)
