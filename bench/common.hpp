@@ -74,11 +74,12 @@ inline std::string run_slug(const std::string& figure,
   return slug;
 }
 
-/// The JSONL run-record sink: EUS_RUNLOG=off disables, EUS_RUNLOG=<path>
-/// overrides, default is <slug>.jsonl in the working directory.
+/// The JSONL run-record sink at `path` (runlog_path: EUS_RUNLOG=off
+/// disables, EUS_RUNLOG=<path> overrides, default is <slug>.jsonl in the
+/// working directory); null when disabled or unopenable.
 inline std::unique_ptr<RunRecorder> open_run_recorder(
     const std::string& path) {
-  if (path == "off" || path == "none") return nullptr;
+  if (path.empty()) return nullptr;
   try {
     return std::make_unique<RunRecorder>(path);
   } catch (const std::exception& e) {
@@ -127,8 +128,7 @@ inline StudyResult run_figure(const benchkit::ScenarioContext& ctx,
   const UtilityEnergyProblem problem(scenario.system, scenario.trace,
                                      std::move(evaluator_options));
   const std::string run_path =
-      env_string("EUS_RUNLOG")
-          .value_or(run_slug(spec.figure, scenario.name) + ".jsonl");
+      runlog_path(run_slug(spec.figure, scenario.name) + ".jsonl");
   const std::unique_ptr<RunRecorder> recorder = open_run_recorder(run_path);
 
   StudyEngineConfig engine_config;

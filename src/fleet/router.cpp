@@ -411,7 +411,10 @@ bool Router::probe_backend(Backend& backend) {
   try {
     serve::ClientConnection probe;
     probe.connect(backend.config.port);
-    probe.set_timeout_ms(static_cast<long>(config_.probe_timeout_ms));
+    // Never below 1 ms: a timeout of 0 means none, and a drain joins the
+    // prober.
+    probe.set_timeout_ms(
+        static_cast<long>(std::max(1.0, config_.probe_timeout_ms)));
     const std::string response =
         probe.call(R"({"type":"healthz","id":"fleet-probe"})");
     return !response.empty();

@@ -76,7 +76,7 @@ struct RouterConfig {
   /// Seconds between active healthz probes; 0 disables the prober (tests
   /// drive probe_now() directly; passive mark-down still applies).
   double health_period_s = 2.0;
-  /// Per-probe connect/receive budget.
+  /// Per-probe connect/receive budget; a probe waits at least 1 ms.
   double probe_timeout_ms = 1000.0;
   /// Down backends are re-probed with exponential backoff capped here.
   double max_backoff_s = 30.0;

@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -10,63 +11,78 @@ namespace eus::serve {
 
 // ---------------------------------------------------------------- WorkerCrew
 
-WorkerCrew::WorkerCrew(BoundedQueue<RequestJob>& queue,
-                       std::function<void(RequestJob&)> execute)
-    : queue_(queue), execute_(std::move(execute)) {}
+WorkerCrew::WorkerCrew(std::size_t capacity)
+    : capacity_(std::max<std::size_t>(capacity, 1)) {}
 
-void WorkerCrew::spawn_locked() {
-  members_.emplace_back();
-  Member* member = &members_.back();
-  ++active_;
-  member->thread = std::thread([this, member] { worker_loop(member); });
-}
-
-void WorkerCrew::reap_locked() {
-  for (auto it = members_.begin(); it != members_.end();) {
-    // A done member holds no locks anymore, so joining under the mutex is
-    // safe (and keeps the list mutation race-free).
-    if (it->done.load(std::memory_order_acquire)) {
-      if (it->thread.joinable()) it->thread.join();
-      it = members_.erase(it);
-    } else {
-      ++it;
-    }
+bool WorkerCrew::try_push(Job&& job) {
+  {
+    const std::lock_guard lock(mutex_);
+    if (closed_ || jobs_.size() >= capacity_) return false;
+    jobs_.push_back(std::move(job));
   }
+  wake_.notify_one();
+  return true;
 }
 
 void WorkerCrew::resize(std::size_t target) {
-  if (target < 1) target = 1;
-  std::size_t poisons = 0;
   {
     const std::lock_guard lock(mutex_);
-    if (halted_) return;
-    reap_locked();
-    target_ = target;
-    while (active_ < target_) spawn_locked();
-    if (active_ > target_) poisons = active_ - target_;
+    if (closed_) return;
+    // A retired member holds no lock anymore, so joining it here is safe.
+    std::erase_if(members_, [](Member& member) {
+      if (member.done) member.thread.join();
+      return member.done;
+    });
+    target_ = std::max<std::size_t>(target, 1);
+    while (active_ < target_) {
+      Member& member = members_.emplace_back();
+      member.thread = std::thread([this, &member] { work(member); });
+      ++active_;
+    }
   }
-  for (std::size_t i = 0; i < poisons; ++i) {
-    RequestJob token;
-    token.poison = true;
-    queue_.push_control(std::move(token));
+  wake_.notify_all();
+}
+
+void WorkerCrew::set_capacity(std::size_t capacity) {
+  const std::lock_guard lock(mutex_);
+  capacity_ = std::max<std::size_t>(capacity, 1);
+}
+
+void WorkerCrew::close() {
+  {
+    const std::lock_guard lock(mutex_);
+    closed_ = true;
   }
+  wake_.notify_all();
 }
 
 void WorkerCrew::halt() {
+  std::list<Member> members;
   {
     const std::lock_guard lock(mutex_);
-    if (halted_) return;
-    halted_ = true;
+    closed_ = true;  // resize() spawns no more, so members_ stays empty
+    members.swap(members_);
   }
-  queue_.close();
-  // members_ is stable now: resize() refuses after halted_, and workers
-  // only mark themselves done.  Join outside the lock — exiting workers
-  // take it to decrement active_.
-  for (Member& member : members_) {
+  wake_.notify_all();
+  // Join outside the lock: leaving workers take it.
+  for (Member& member : members) {
     if (member.thread.joinable()) member.thread.join();
   }
+}
+
+bool WorkerCrew::closed() const {
   const std::lock_guard lock(mutex_);
-  members_.clear();
+  return closed_;
+}
+
+std::size_t WorkerCrew::size() const {
+  const std::lock_guard lock(mutex_);
+  return jobs_.size();
+}
+
+std::size_t WorkerCrew::capacity() const {
+  const std::lock_guard lock(mutex_);
+  return capacity_;
 }
 
 std::size_t WorkerCrew::target() const {
@@ -79,22 +95,23 @@ std::size_t WorkerCrew::active() const {
   return active_;
 }
 
-void WorkerCrew::worker_loop(Member* self) {
+void WorkerCrew::work(Member& self) {
+  std::unique_lock lock(mutex_);
   for (;;) {
-    std::optional<RequestJob> job = queue_.pop();
-    if (!job) break;  // queue closed and drained
-    if (job->poison) {
-      const std::lock_guard lock(mutex_);
-      if (active_ > target_) break;  // shrink: this worker retires
-      continue;  // stale token — a grow landed since the shrink; discard
-    }
-    execute_(*job);
+    wake_.wait(lock, [this] {
+      return active_ > target_ || closed_ || !jobs_.empty();
+    });
+    // Retire when surplus, or when closed and drained.  A surplus worker
+    // leaves queued jobs to the target_ >= 1 workers that stay.
+    if (active_ > target_ || jobs_.empty()) break;
+    Job job = std::move(jobs_.front());
+    jobs_.pop_front();
+    lock.unlock();
+    job();
+    lock.lock();
   }
-  {
-    const std::lock_guard lock(mutex_);
-    --active_;
-  }
-  self->done.store(true, std::memory_order_release);
+  --active_;
+  self.done = true;
 }
 
 // -------------------------------------------------------------------- Server
@@ -106,6 +123,7 @@ Server::Server(ServerConfig config)
                          : nullptr),
       metrics_(config_.metrics != nullptr ? config_.metrics
                                           : owned_metrics_.get()),
+      crew_(config_.queue_depth),
       endpoint_(*this, {.service = "eus_served",
                         .metric_prefix = "serve",
                         .max_frame_bytes = config_.max_frame_bytes,
@@ -122,9 +140,6 @@ Server::Server(ServerConfig config)
   if (config_.eval_threads != 1) {
     eval_pool_ = std::make_unique<ThreadPool>(config_.eval_threads);
   }
-  queue_ = std::make_unique<BoundedQueue<RequestJob>>(config_.queue_depth);
-  crew_ = std::make_unique<WorkerCrew>(
-      *queue_, [this](RequestJob& job) { execute_job(job); });
   handler_context_.metrics = metrics_;
   handler_context_.cache = cache_.get();
   handler_context_.pool = eval_pool_.get();
@@ -136,17 +151,17 @@ Server::~Server() {
   stop();
 }
 
-std::size_t Server::queue_size() const { return queue_->size(); }
-std::size_t Server::queue_capacity() const { return queue_->capacity(); }
-std::size_t Server::worker_target() const { return crew_->target(); }
-std::size_t Server::worker_active() const { return crew_->active(); }
+std::size_t Server::queue_size() const { return crew_.size(); }
+std::size_t Server::queue_capacity() const { return crew_.capacity(); }
+std::size_t Server::worker_target() const { return crew_.target(); }
+std::size_t Server::worker_active() const { return crew_.active(); }
 std::size_t Server::eval_threads() const {
   return eval_pool_ ? eval_pool_->size() : 1;
 }
 
 void Server::set_queue_capacity(std::size_t depth) {
-  queue_->set_capacity(depth);
-  metric_queue_depth_->set(static_cast<double>(queue_->size()));
+  crew_.set_capacity(depth);
+  metric_queue_depth_->set(static_cast<double>(crew_.size()));
 }
 
 void Server::set_cache_capacity(std::size_t entries) {
@@ -154,9 +169,9 @@ void Server::set_cache_capacity(std::size_t entries) {
 }
 
 void Server::set_workers(std::size_t count) {
-  crew_->resize(count);
+  crew_.resize(count);
   if (metric_workers_ != nullptr) {
-    metric_workers_->set(static_cast<double>(crew_->target()));
+    metric_workers_->set(static_cast<double>(crew_.target()));
   }
 }
 
@@ -199,8 +214,8 @@ void Server::start() {
     }
   }
 
-  crew_->start(config_.workers);
-  metric_workers_->set(static_cast<double>(crew_->target()));
+  crew_.resize(config_.workers);
+  metric_workers_->set(static_cast<double>(crew_.target()));
   endpoint_.start(config_.port);
 
   if (config_.log != nullptr) {
@@ -221,14 +236,13 @@ void Server::halt_acceptor() { endpoint_.stop_accepting(); }
 
 void Server::halt_queue() {
   endpoint_.drain();
-  queue_->close();
+  crew_.close();
 }
 
 void Server::halt_workers() {
-  // Workers drain the closed queue and resolve every pending promise;
-  // only then can the connection readers (blocked on those futures) be
-  // unblocked and joined.
-  crew_->halt();
+  // The crew runs every queued job, which releases the connection readers
+  // waiting on them; only then can those readers be joined.
+  crew_.halt();
   endpoint_.join_connections();
   // Checkpoint after the drain: every request answered before the halt is
   // in the archive by now, and no worker or admin verb can change it
@@ -246,25 +260,25 @@ void Server::halt_workers() {
   }
 }
 
-void Server::execute_job(RequestJob& job) {
-  metric_queue_depth_->set(static_cast<double>(queue_->size()));
-  const double queue_ms = job.waited.milliseconds();
+HandleResult Server::execute_job(const ServeRequest& request,
+                                 double queue_ms) {
+  metric_queue_depth_->set(static_cast<double>(crew_.size()));
   metric_queue_wait_->add(
       std::chrono::nanoseconds(static_cast<std::int64_t>(queue_ms * 1e6)));
   metric_in_flight_->set(static_cast<double>(
       in_flight_.fetch_add(1, std::memory_order_relaxed) + 1));
 
   std::optional<double> remaining_ms;
-  if (job.request.deadline_ms > 0.0) {
-    remaining_ms = job.request.deadline_ms - queue_ms;
+  if (request.deadline_ms > 0.0) {
+    remaining_ms = request.deadline_ms - queue_ms;
   }
   HandleResult result;
   {
     const ScopedTimer timed(metric_service_);
-    result = job.request.kind == RequestKind::kDelta
-                 ? handle_delta(job.request, handler_context_, remaining_ms,
+    result = request.kind == RequestKind::kDelta
+                 ? handle_delta(request, handler_context_, remaining_ms,
                                 queue_ms)
-                 : handle_allocate(job.request, handler_context_, remaining_ms,
+                 : handle_allocate(request, handler_context_, remaining_ms,
                                    queue_ms);
   }
   if (result.code == kCodePartial) metric_deadline_expired_->add();
@@ -272,7 +286,7 @@ void Server::execute_job(RequestJob& job) {
   // holding its answer never still sees this computation as running.
   metric_in_flight_->set(static_cast<double>(
       in_flight_.fetch_sub(1, std::memory_order_relaxed) - 1));
-  job.promise.set_value(std::move(result));
+  return result;
 }
 
 void Server::serve(const Reply& reply, ServeRequest request,
@@ -294,7 +308,7 @@ void Server::serve(const Reply& reply, ServeRequest request,
     // Only computation queues.  A resident front is a lookup and a render,
     // answered here like healthz, so it never waits behind NSGA-II work;
     // once the queue is closed it is refused like a miss.
-    if (queue_->closed()) {
+    if (crew_.closed()) {
       refuse(reply, request, total);
       return;
     }
@@ -305,15 +319,19 @@ void Server::serve(const Reply& reply, ServeRequest request,
     }
   }
 
-  RequestJob job;
-  job.request = request;
-  std::future<HandleResult> future = job.promise.get_future();
-  if (!queue_->try_push(std::move(job))) {
+  // This thread waits for the job, so the job may use its locals.
+  HandleResult result;
+  WorkerCrew::Job job([this, &request, &result, waited = Stopwatch()] {
+    result = execute_job(request, waited.milliseconds());
+  });
+  std::future<void> done = job.get_future();
+  if (!crew_.try_push(std::move(job))) {
     refuse(reply, request, total);
     return;
   }
-  metric_queue_depth_->set(static_cast<double>(queue_->size()));
-  answer(reply, request, future.get(), total);
+  metric_queue_depth_->set(static_cast<double>(crew_.size()));
+  done.get();
+  answer(reply, request, result, total);
 }
 
 void Server::answer(const Reply& reply, const ServeRequest& request,
@@ -346,10 +364,10 @@ void Server::healthz_fields(JsonObject& out) const {
   if (config_.state != nullptr) {
     out.field("phase", to_string(config_.state->phase()));
   }
-  out.field("queue_depth", static_cast<std::uint64_t>(queue_->size()));
-  out.field("queue_capacity", static_cast<std::uint64_t>(queue_->capacity()));
+  out.field("queue_depth", static_cast<std::uint64_t>(crew_.size()));
+  out.field("queue_capacity", static_cast<std::uint64_t>(crew_.capacity()));
   out.field("in_flight", static_cast<std::uint64_t>(in_flight()));
-  out.field("workers", static_cast<std::uint64_t>(crew_->target()));
+  out.field("workers", static_cast<std::uint64_t>(crew_.target()));
   out.field("eval_threads", static_cast<std::uint64_t>(eval_threads()));
   out.field("cache_size",
             static_cast<std::uint64_t>(cache_ ? cache_->size() : 0));
@@ -365,10 +383,10 @@ void Server::config_fields(JsonObject& out) const {
   if (config_.state != nullptr) {
     out.field("phase", to_string(config_.state->phase()));
   }
-  out.field("queue_depth", static_cast<std::uint64_t>(queue_->capacity()));
-  out.field("queue_size", static_cast<std::uint64_t>(queue_->size()));
-  out.field("workers", static_cast<std::uint64_t>(crew_->target()));
-  out.field("workers_active", static_cast<std::uint64_t>(crew_->active()));
+  out.field("queue_depth", static_cast<std::uint64_t>(crew_.capacity()));
+  out.field("queue_size", static_cast<std::uint64_t>(crew_.size()));
+  out.field("workers", static_cast<std::uint64_t>(crew_.target()));
+  out.field("workers_active", static_cast<std::uint64_t>(crew_.active()));
   out.field("eval_threads", static_cast<std::uint64_t>(eval_threads()));
   out.field("cache_entries",
             static_cast<std::uint64_t>(cache_ ? cache_->capacity() : 0));
@@ -398,7 +416,7 @@ std::string Server::admin(const ServeRequest& request) {
   switch (admin.action) {
     case AdminAction::kSetQueueDepth:
       set_queue_capacity(admin.value);
-      return admin_applied(request, "queue_depth", queue_->capacity());
+      return admin_applied(request, "queue_depth", crew_.capacity());
     case AdminAction::kSetCacheEntries:
       if (cache_ == nullptr) {
         return error_payload(request.id, kCodeBadRequest, "error",
@@ -409,7 +427,7 @@ std::string Server::admin(const ServeRequest& request) {
       return admin_applied(request, "cache_entries", cache_->capacity());
     case AdminAction::kSetWorkers:
       set_workers(admin.value);
-      return admin_applied(request, "workers", crew_->target());
+      return admin_applied(request, "workers", crew_.target());
     case AdminAction::kEnableBackend:
     case AdminAction::kDisableBackend:
     case AdminAction::kFleetReload:

@@ -3,10 +3,10 @@
 // eus_served's engine, decomposed into the components the runtime halts in
 // order (docs/runtime.md): an Endpoint (net.hpp: listen socket, accept
 // thread, per-connection reader threads and the verbs every daemon
-// answers), a bounded request queue with explicit backpressure, and a
-// WorkerCrew (elastic worker pool that executes allocate requests through
-// handlers.cpp — NSGA-II offspring-pair tasks fan out onto one shared
-// ThreadPool, so concurrent requests share the machine instead of
+// answers) and a WorkerCrew (a bounded request queue with explicit
+// backpressure and the elastic pool of workers that executes its requests
+// through handlers.cpp — NSGA-II offspring-pair tasks fan out onto one
+// shared ThreadPool, so concurrent requests share the machine instead of
 // oversubscribing it).  The Server class is the facade wiring them
 // together, the Endpoint's handler, and the Daemon that ServeRuntime
 // (runtime.hpp) drives through the process lifecycle.
@@ -43,8 +43,9 @@
 // does exactly that).
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <future>
 #include <list>
 #include <memory>
@@ -53,7 +54,6 @@
 #include <thread>
 
 #include "core/scenario_catalog.hpp"
-#include "serve/bounded_queue.hpp"
 #include "serve/front_cache.hpp"
 #include "serve/handlers.hpp"
 #include "serve/net.hpp"
@@ -66,60 +66,66 @@
 
 namespace eus::serve {
 
-/// One queued computation (an allocate cache miss or a delta), or a
-/// WorkerCrew control token.
-struct RequestJob {
-  ServeRequest request;
-  Stopwatch waited;  ///< starts at enqueue: measures queue time
-  std::promise<HandleResult> promise;
-  bool poison = false;  ///< control token: the popping worker re-checks
-                        ///< the crew target and retires when over it
-};
-
-/// Elastic pool of request-executing workers over one BoundedQueue.
-/// Growing spawns threads; shrinking front-pushes poison tokens so a
-/// blocked worker wakes, re-checks the target, and retires — queued work
-/// is never dropped by a resize.  halt() closes the queue and joins after
-/// the drain.
+/// The request-executing workers and the bounded FIFO of jobs they run,
+/// under one mutex.  try_push never blocks: a full or closed crew refuses
+/// the job, and the Server answers that with a 503 instead of buffering
+/// unboundedly.  Capacity and worker target are live knobs (the
+/// set-queue-depth and set-workers verbs): a smaller capacity only tightens
+/// future admission, a larger target spawns workers at once, and a smaller
+/// one retires the surplus between jobs.  Neither drops a queued job.
+/// close() refuses new work while the workers still run every queued job;
+/// halt() closes, lets them drain, and joins them.
 class WorkerCrew {
  public:
-  WorkerCrew(BoundedQueue<RequestJob>& queue,
-             std::function<void(RequestJob&)> execute);
+  using Job = std::packaged_task<void()>;
+
+  /// No worker runs until the first resize().  Capacity clamps to >= 1.
+  explicit WorkerCrew(std::size_t capacity);
   ~WorkerCrew() { halt(); }
 
   WorkerCrew(const WorkerCrew&) = delete;
   WorkerCrew& operator=(const WorkerCrew&) = delete;
 
-  void start(std::size_t count) { resize(count); }
+  /// Queues `job` and wakes one worker, unless the crew is full or closed;
+  /// on false the caller still owns `job`.
+  [[nodiscard]] bool try_push(Job&& job);
 
-  /// Live resize (clamped >= 1).  A poison token popped after a
-  /// grow-back is discarded, so shrink/grow races self-correct.
+  /// Sets the worker target (clamped >= 1): spawns up to it at once, and
+  /// wakes every worker so the surplus retires.  Ignored once closed.
   void resize(std::size_t target);
 
-  /// Closes the queue, lets the workers drain every queued job, joins
-  /// every thread.  Idempotent.
+  /// Live capacity (clamped >= 1); jobs queued beyond it stay queued.
+  void set_capacity(std::size_t capacity);
+
+  /// Refuses new jobs; queued ones still run.  Idempotent.
+  void close();
+
+  /// Closes, lets the workers run every queued job, joins every thread.
+  /// Idempotent.
   void halt();
 
+  [[nodiscard]] bool closed() const;
+  [[nodiscard]] std::size_t size() const;  ///< jobs queued, not running
+  [[nodiscard]] std::size_t capacity() const;
   [[nodiscard]] std::size_t target() const;
-  [[nodiscard]] std::size_t active() const;
+  [[nodiscard]] std::size_t active() const;  ///< workers not yet retired
 
  private:
   struct Member {
     std::thread thread;
-    std::atomic<bool> done{false};
+    bool done = false;  ///< set under mutex_ as the worker leaves
   };
 
-  void worker_loop(Member* self);
-  void spawn_locked();
-  void reap_locked();
+  void work(Member& self);
 
-  BoundedQueue<RequestJob>& queue_;
-  std::function<void(RequestJob&)> execute_;
   mutable std::mutex mutex_;
-  std::list<Member> members_;
+  std::condition_variable wake_;  ///< a job, a close, or a lower target
+  std::deque<Job> jobs_;
+  std::size_t capacity_;
+  bool closed_ = false;
+  std::list<Member> members_;  ///< running and retired, not yet joined
   std::size_t target_ = 0;
   std::size_t active_ = 0;
-  bool halted_ = false;
 };
 
 struct ServerConfig {
@@ -179,7 +185,7 @@ class Server final : public Daemon, private EndpointHandler {
   // them in this order).  Together they answer every queued and in-flight
   // request, then close connections and join every thread.  Idempotent.
   void halt_acceptor() override;  ///< stop accepting; join the accept thread
-  void halt_queue() override;  ///< refuse new work; queued jobs stay poppable
+  void halt_queue() override;  ///< refuse new work; queued jobs still run
   /// Drains + joins the workers, closes connections, then writes the
   /// archive checkpoint.
   void halt_workers() override;
@@ -215,7 +221,8 @@ class Server final : public Daemon, private EndpointHandler {
   void serve(const Reply& reply, ServeRequest request,
              const std::string& payload, const Stopwatch& total) override;
 
-  void execute_job(RequestJob& job);
+  /// Runs one computation on a worker; `queue_ms` is its wait in the crew.
+  HandleResult execute_job(const ServeRequest& request, double queue_ms);
   /// Sends a handler's result and records it (counters, latency, log).
   void answer(const Reply& reply, const ServeRequest& request,
               const HandleResult& result, const Stopwatch& total);
@@ -232,9 +239,6 @@ class Server final : public Daemon, private EndpointHandler {
   std::unique_ptr<tenant::ArchiveStore> archive_;  ///< null when disabled
   std::unique_ptr<ThreadPool> eval_pool_;  ///< null when eval_threads == 1
   HandlerContext handler_context_;
-
-  std::unique_ptr<BoundedQueue<RequestJob>> queue_;
-  std::unique_ptr<WorkerCrew> crew_;
 
   std::atomic<bool> started_{false};
   /// start() loaded the checkpoint; halt_workers() writes it once.
@@ -253,6 +257,7 @@ class Server final : public Daemon, private EndpointHandler {
   TimerMetric* metric_queue_wait_ = nullptr;
   Histogram* metric_latency_ = nullptr;
 
+  WorkerCrew crew_;  ///< after everything its jobs use
   Endpoint endpoint_;  ///< last: its readers use everything above
 };
 

@@ -94,26 +94,9 @@ void RunRecorder::record_checkpoint(std::string_view population,
 
 void RunRecorder::record_summary(double wall_seconds,
                                  const MetricsSnapshot& metrics) {
-  JsonObject counters;
-  for (const auto& [name, value] : metrics.counters) {
-    counters.field(name, static_cast<std::uint64_t>(value));
-  }
-  JsonObject gauges;
-  for (const auto& [name, value] : metrics.gauges) gauges.field(name, value);
-  JsonObject timers;
-  for (const auto& [name, stat] : metrics.timers) {
-    JsonObject t;
-    t.field("seconds", stat.seconds)
-        .field("count", static_cast<std::uint64_t>(stat.count));
-    timers.raw(name, t.str());
-  }
-
   JsonObject o;
-  o.field("type", "summary")
-      .field("wall_s", wall_seconds)
-      .raw("counters", counters.str())
-      .raw("gauges", gauges.str())
-      .raw("timers", timers.str());
+  o.field("type", "summary").field("wall_s", wall_seconds);
+  append_snapshot(o, metrics);
   write_line(o.str());
 }
 

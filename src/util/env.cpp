@@ -50,6 +50,15 @@ std::size_t bench_threads() {
   return t < 0 ? 0U : static_cast<std::size_t>(t);
 }
 
+std::string runlog_path(std::string fallback,
+                        const std::optional<std::string>& flag) {
+  const std::optional<std::string> setting =
+      flag ? flag : env_string("EUS_RUNLOG");
+  if (!setting || setting->empty()) return fallback;
+  if (*setting == "off" || *setting == "none") return "";
+  return *setting;
+}
+
 std::uint16_t serve_port() {
   constexpr std::int64_t kDefault = 7461;
   const std::int64_t p = env_int("EUS_SERVE_PORT", kDefault);

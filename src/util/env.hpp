@@ -33,6 +33,12 @@ namespace eus {
 /// n workers.  Negative/invalid values fall back to 0.
 [[nodiscard]] std::size_t bench_threads();
 
+/// Where a run log goes.  The setting is `flag` (a --runlog value) when
+/// given, else EUS_RUNLOG: unset or empty means `fallback`, "off" or "none"
+/// means no log (an empty path), and any other value is the path.
+[[nodiscard]] std::string runlog_path(
+    std::string fallback, const std::optional<std::string>& flag = {});
+
 /// eus_served's default listen port (EUS_SERVE_PORT, default 7461; out-of-
 /// range or invalid values fall back to the default).
 [[nodiscard]] std::uint16_t serve_port();

@@ -13,6 +13,7 @@ class EnvTest : public ::testing::Test {
     unsetenv("EUS_TEST_VAR");
     unsetenv("EUS_SCALE");
     unsetenv("EUS_SEED");
+    unsetenv("EUS_RUNLOG");
   }
 };
 
@@ -78,6 +79,36 @@ TEST_F(EnvTest, BenchSeedDefault) {
 TEST_F(EnvTest, BenchSeedReadsEnv) {
   setenv("EUS_SEED", "99", 1);
   EXPECT_EQ(bench_seed(), 99ULL);
+}
+
+TEST_F(EnvTest, RunlogUnsetOrEmptyMeansTheFallback) {
+  unsetenv("EUS_RUNLOG");
+  EXPECT_EQ(runlog_path("fig3.jsonl"), "fig3.jsonl");
+  EXPECT_EQ(runlog_path(""), "");  // a daemon's default: no log
+  setenv("EUS_RUNLOG", "", 1);
+  EXPECT_EQ(runlog_path("fig3.jsonl"), "fig3.jsonl");
+}
+
+TEST_F(EnvTest, RunlogOffOrNoneMeansNoLog) {
+  setenv("EUS_RUNLOG", "off", 1);
+  EXPECT_EQ(runlog_path("fig3.jsonl"), "");
+  setenv("EUS_RUNLOG", "none", 1);
+  EXPECT_EQ(runlog_path("fig3.jsonl"), "");
+}
+
+TEST_F(EnvTest, RunlogAnyOtherValueIsThePath) {
+  setenv("EUS_RUNLOG", "/tmp/run.jsonl", 1);
+  EXPECT_EQ(runlog_path("fig3.jsonl"), "/tmp/run.jsonl");
+  EXPECT_EQ(runlog_path(""), "/tmp/run.jsonl");
+}
+
+TEST_F(EnvTest, RunlogFlagTakesTheSameRuleOverTheEnv) {
+  setenv("EUS_RUNLOG", "/tmp/run.jsonl", 1);
+  EXPECT_EQ(runlog_path("", "off"), "");
+  EXPECT_EQ(runlog_path("", "none"), "");
+  EXPECT_EQ(runlog_path("", "serve.jsonl"), "serve.jsonl");
+  EXPECT_EQ(runlog_path("", ""), "");
+  EXPECT_EQ(runlog_path("", std::nullopt), "/tmp/run.jsonl");
 }
 
 }  // namespace

@@ -11,11 +11,17 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -236,6 +242,42 @@ TEST(FleetRouter, FailoverRetriesOnceAndMarksDown) {
   EXPECT_EQ(fleet.fleet_counter("backend.up"), 1U);
   replacement.stop();
   fleet.router->probe_now(/*force=*/true);  // leave it marked down again
+}
+
+TEST(FleetRouter, SubMillisecondProbeTimeoutStillTimesOut) {
+  // A backend that takes connections (the kernel completes them in the
+  // listen backlog) and never answers.
+  const int mute = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(mute, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(mute, 4), 0);
+  ASSERT_EQ(::getsockname(mute, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  RouterConfig config;
+  BackendConfig backend;
+  backend.name = "mute";
+  backend.port = ntohs(addr.sin_port);
+  config.fleet.backends.push_back(backend);
+  config.health_period_s = 0.0;
+  config.probe_timeout_ms = 0.5;  // must not round down to "no timeout"
+  Router router(std::move(config));
+  router.start();
+
+  std::future<void> probe = std::async(std::launch::async,
+                                       [&] { router.probe_now(true); });
+  const bool returned = probe.wait_for(std::chrono::seconds(1)) ==
+                        std::future_status::ready;
+  // Watchdog: closing the listener resets the probe's connection, so a
+  // probe that waits without a timeout fails this test instead of hanging.
+  ::close(mute);
+  probe.get();
+  EXPECT_TRUE(returned) << "probe_now(true) took longer than 1 s";
+  ASSERT_EQ(router.backend_info().size(), 1U);
+  EXPECT_FALSE(router.backend_info().front().up);
+  router.stop();
 }
 
 TEST(FleetRouter, NoRoutableBackendIs503) {

@@ -123,6 +123,9 @@ TEST(RunRecorder, EmitsOneJsonObjectPerLine) {
   recorder.record_checkpoint("a", 5, {{1.5, 2.0}, {3.0, 1.0}}, 0.75);
   MetricsRegistry registry;
   registry.counter("nsga2.evaluations").add(100);
+  registry.gauge("front").set(12.0);
+  registry.timer("phase").add(std::chrono::milliseconds(250));
+  registry.histogram("latency").observe_seconds(0.002);
   recorder.record_summary(1.5, registry.snapshot());
 
   EXPECT_EQ(recorder.lines_written(), 3U);
@@ -144,6 +147,22 @@ TEST(RunRecorder, EmitsOneJsonObjectPerLine) {
   EXPECT_NE(lines[1].find("\"front_size\":2"), std::string::npos);
   EXPECT_NE(lines[2].find("\"type\":\"summary\""), std::string::npos);
   EXPECT_NE(lines[2].find("\"nsga2.evaluations\":100"), std::string::npos);
+  // The summary holds the metrics snapshot in all four sections.
+  EXPECT_NE(lines[2].find("\"counters\":{\"nsga2.evaluations\":100}"),
+            std::string::npos);
+  EXPECT_NE(lines[2].find("\"gauges\":{\"front\":12}"), std::string::npos);
+  EXPECT_NE(
+      lines[2].find("\"timers\":{\"phase\":{\"seconds\":0.25,\"count\":1}}"),
+      std::string::npos);
+  const util::JsonValue summary = util::parse_json(lines[2]);
+  const util::JsonValue* histograms = summary.get("histograms");
+  ASSERT_NE(histograms, nullptr);
+  const util::JsonValue* latency = histograms->get("latency");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->number_or("count", 0.0), 1.0);
+  EXPECT_NE(latency->get("p50_ms"), nullptr);
+  EXPECT_NE(latency->get("p95_ms"), nullptr);
+  EXPECT_NE(latency->get("p99_ms"), nullptr);
 }
 
 TEST(RunRecorder, ThrowsOnUnopenablePath) {

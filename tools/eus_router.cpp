@@ -48,7 +48,7 @@ struct CliOptions {
   double health_period_s = 2.0;
   double probe_timeout_ms = 1000.0;
   double max_backoff_s = 30.0;
-  std::optional<std::string> runlog = env_string("EUS_RUNLOG");
+  std::optional<std::string> runlog;  // --runlog; EUS_RUNLOG when unset
 };
 
 void print_usage(std::ostream& out) {
@@ -64,10 +64,11 @@ void print_usage(std::ostream& out) {
          "                       (default min-min)\n"
          "  --health-period <s>  seconds between healthz probes; 0 disables\n"
          "                       active probing (default 2)\n"
-         "  --probe-timeout <ms> per-probe budget (default 1000)\n"
+         "  --probe-timeout <ms> per-probe budget, >= 1 (default 1000)\n"
          "  --max-backoff <s>    probe backoff cap for down backends\n"
          "                       (default 30)\n"
-         "  --runlog <path>      JSONL request log (default EUS_RUNLOG)\n"
+         "  --runlog <path>      JSONL request log; off or none = no log\n"
+         "                       (default EUS_RUNLOG; unset = no log)\n"
          "  --version            print the version and exit\n"
          "  -h, --help           this text\n"
          "\n"
@@ -141,6 +142,11 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
       if (!seconds_flag(i, "--probe-timeout", opts.probe_timeout_ms)) {
         return std::nullopt;
       }
+      if (!(opts.probe_timeout_ms >= 1.0)) {  // NaN too
+        std::cerr << "eus_router: --probe-timeout wants at least 1 ms, got '"
+                  << argv[i] << "'\n";
+        return std::nullopt;
+      }
     } else if (arg == "--max-backoff") {
       if (!seconds_flag(i, "--max-backoff", opts.max_backoff_s)) {
         return std::nullopt;
@@ -183,7 +189,7 @@ int main(int argc, char** argv) {
     FleetConfig fleet = load_fleet_config(opts.fleet_path);
     // The runtime blocks the shutdown signals before any thread exists.
     serve::ServeRuntime runtime(
-        {.runlog_path = opts.runlog.value_or(""), .signal_thread = true});
+        {.runlog_path = runlog_path("", opts.runlog), .signal_thread = true});
     Router router({.port = opts.port,
                    .fleet = std::move(fleet),
                    .policy = opts.policy,

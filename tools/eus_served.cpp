@@ -47,7 +47,7 @@ struct CliOptions {
   std::size_t cache_entries = 64;
   std::size_t max_frame_bytes = kMaxFrameBytes;
   double diagnostics_period_s = 10.0;  // 0 disables the diagnostics thread
-  std::optional<std::string> runlog = env_string("EUS_RUNLOG");
+  std::optional<std::string> runlog;  // --runlog; EUS_RUNLOG when unset
   // Warm-start archive (docs/tenant.md).
   std::optional<std::string> archive = env_string("EUS_ARCHIVE");
   std::size_t archive_tenants = 64;   // 0 disables the archive
@@ -73,7 +73,8 @@ void print_usage(std::ostream& out) {
          "MiB)\n"
          "  --diagnostics <s>    seconds between diagnostics snapshots in\n"
          "                       the run log; 0 disables (default 10)\n"
-         "  --runlog <path>      JSONL request log (default EUS_RUNLOG)\n"
+         "  --runlog <path>      JSONL request log; off or none = no log\n"
+         "                       (default EUS_RUNLOG; unset = no log)\n"
          "  --archive <path>     warm-start archive checkpoint file: loaded\n"
          "                       on boot (a corrupt file cold-starts),\n"
          "                       written on drain (default EUS_ARCHIVE;\n"
@@ -224,7 +225,7 @@ int main(int argc, char** argv) {
   try {
     // The runtime comes first: it blocks the shutdown signals before the
     // Server's evaluation pool starts any thread.
-    ServeRuntime runtime({.runlog_path = opts.runlog.value_or(""),
+    ServeRuntime runtime({.runlog_path = runlog_path("", opts.runlog),
                           .diagnostics_period_s = opts.diagnostics_period_s,
                           .signal_thread = true});
     Server server({.port = opts.port,
